@@ -24,15 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import total_ordering
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .euler import euler_characteristic
 from .graphs import (
     LimitExceeded,
     ParseError,
     UndirectedGraph,
-    complement,
-    connected_components,
+    complement_components,
     induced_subgraph,
 )
 
@@ -232,9 +231,6 @@ class InvariantProfile:
                 items.append((int(k), count))
         return cls(ExtNat.of(t), ExtNat.of(o), tuple(items))
 
-    def N_map(self) -> dict[int, ExtNat]:
-        return dict(self.N)
-
     def N_at(self, k: int) -> ExtNat:
         for key, count in self.N:
             if key == k:
@@ -262,7 +258,7 @@ def decompose(g: UndirectedGraph) -> list[UndirectedGraph]:
     of the returned pieces: every cross pair between two distinct pieces
     is an edge.
     """
-    return [induced_subgraph(g, comp) for comp in connected_components(complement(g))]
+    return [induced_subgraph(g, comp) for comp in complement_components(g)]
 
 
 def decompose_oracle(g: UndirectedGraph) -> bool:
@@ -303,17 +299,22 @@ def classify_component(comp: UndirectedGraph) -> ComponentClass:
     return FiniteExt(euler_characteristic(comp))
 
 
-def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
-    t = 0
+def profile_of_classes(classes: Iterable[ComponentClass]) -> InvariantProfile:
+    """Count the classes of a graph's co-irreducible components."""
+    t = o = 0
     N: dict[int, int] = {}
-    for comp in decompose(g):
-        cls = classify_component(comp)
+    for cls in classes:
         if isinstance(cls, Toeplitz):
             t += 1
-        else:
-            assert isinstance(cls, FiniteExt)
+        elif isinstance(cls, FiniteExt):
             N[cls.chi] = N.get(cls.chi, 0) + 1
-    return InvariantProfile.make(t=t, o=0, N=N)
+        else:
+            o += 1
+    return InvariantProfile.make(t=t, o=o, N=N)
+
+
+def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
+    return profile_of_classes(classify_component(comp) for comp in decompose(g))
 
 
 _PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?\d+)\])$")

@@ -41,6 +41,7 @@ from .artin import (
     parse_profile_spec,
     prim_space,
     profile_components,
+    profile_of_classes,
     semiprojectivity,
     stable_normal_form,
 )
@@ -50,8 +51,7 @@ from .graphs import (
     LimitExceeded,
     ParseError,
     UndirectedGraph,
-    complement,
-    connected_components,
+    complement_components,
     enumerate_graphs,
     induced_subgraph,
     parse_edge_list,
@@ -678,11 +678,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     _, g, warns = _parse_input(
         _read_input(args.input), args.format, ("graph6", "edges")
     )
-    parts = connected_components(complement(g))
+    classes = []
     components = []
-    for vertices in parts:
+    for vertices in complement_components(g):
         sub = induced_subgraph(g, vertices)
         cls = classify_component(sub)
+        classes.append(cls)
         components.append(
             {
                 "vertices": list(vertices),
@@ -691,7 +692,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "chi": cls.chi if isinstance(cls, FiniteExt) else None,
             }
         )
-    p = invariant_profile(g)
+    p = profile_of_classes(classes)
     doc = {
         "document": "decomposition",
         "input": _graph_echo(g),

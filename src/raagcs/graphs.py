@@ -12,9 +12,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 GRAPH6_MAX = 62
+# Largest vertex count an edge list may declare or name; a ``vertices:``
+# header is otherwise taken on trust and sizes every later step.
+EDGE_LIST_MAX = 10_000
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 
@@ -85,9 +88,6 @@ class UndirectedGraph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.adjacency))
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
 
 def empty_graph(n: int) -> UndirectedGraph:
     return UndirectedGraph(n, frozenset())
@@ -135,6 +135,8 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     (the way to get isolated vertices).  Every other significant line names
     one edge as two whitespace-separated labels; ``#`` starts a comment.
     Duplicate edges are deduplicated with a warning; self-loops are errors.
+    A declared count or a number of distinct labels above ``EDGE_LIST_MAX``
+    raises ``LimitExceeded`` before any vertex is allocated.
     """
     index: dict[str, int] = {}
     labels: list[str] = []
@@ -151,9 +153,16 @@ def parse_edge_list(text: str) -> UndirectedGraph:
             if declared is not None:
                 raise ParseError("repeated vertices: header", lineno)
             rest = line[len("vertices:") :].strip()
-            if not rest.isdigit():
+            if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"bad vertex count {rest!r}", lineno)
-            declared = int(rest)
+            digits = rest.lstrip("0") or "0"
+            # The length test keeps int() off digit strings it refuses.
+            if len(digits) > len(str(EDGE_LIST_MAX)) or int(digits) > EDGE_LIST_MAX:
+                raise LimitExceeded(
+                    f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
+                    f"got vertices: {digits} (line {lineno})"
+                )
+            declared = int(digits)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -165,6 +174,11 @@ def parse_edge_list(text: str) -> UndirectedGraph:
             raise ParseError(f"self-loop at {a!r}", lineno)
         for name in (a, b):
             if name not in index:
+                if len(labels) == EDGE_LIST_MAX:
+                    raise LimitExceeded(
+                        f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
+                        f"got {EDGE_LIST_MAX + 1} labels by line {lineno}"
+                    )
                 index[name] = len(labels)
                 labels.append(name)
         edge = (min(index[a], index[b]), max(index[a], index[b]))
@@ -255,43 +269,70 @@ def complement(g: UndirectedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, edges, g.labels)
 
 
-def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
-    """Components as sorted vertex tuples, ordered by least vertex."""
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _components(g: UndirectedGraph, flip: int) -> tuple[tuple[int, ...], ...]:
+    """Components of the graph whose rows are ``adjacency[v] ^ flip``.
+
+    A breadth-first search over masks: the unseen vertices one row reaches
+    join the frontier and the component in one step.  Rows are formed on
+    the fly, so the complement (``flip`` = all n bits) is never stored.
+    """
     adj = g.adjacency
-    seen = [False] * g.n
+    unseen = (1 << g.n) - 1
     out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            mask = adj[v]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                u = low.bit_length() - 1
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        unseen ^= comp
+        while frontier and unseen:
+            low = frontier & -frontier
+            frontier ^= low
+            new = unseen & (adj[low.bit_length() - 1] ^ flip)
+            unseen ^= new
+            frontier |= new
+            comp |= new
+        out.append(tuple(_bits(comp)))
     return tuple(out)
 
 
+def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
+    """Components as sorted vertex tuples, ordered by least vertex."""
+    return _components(g, 0)
+
+
+def complement_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
+    """Components of the complement, as ``connected_components`` orders them."""
+    return _components(g, (1 << g.n) - 1)
+
+
 def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedGraph:
-    """Restrict to a vertex set, renumbering it in ascending order."""
+    """Restrict to a vertex set, renumbering it in ascending order.
+
+    Only edges inside the set are visited: each kept vertex walks its
+    kept neighbors above it.
+    """
     vs = sorted(set(vertices))
+    keep = 0
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+        keep |= 1 << v
+    if len(vs) == g.n:
+        return g  # graphs are immutable, so the whole vertex set can share g
     pos = {v: i for i, v in enumerate(vs)}
+    adj = g.adjacency
     edges = frozenset(
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
+        (pos[v], pos[u])
+        for v in vs
+        for u in _bits(adj[v] & keep & -(2 << v))
     )
-    labels = tuple(g.label_of(v) for v in vs) if g.labels is not None else None
+    labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
     return UndirectedGraph(len(vs), edges, labels)
 
 

@@ -20,6 +20,66 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> UndirectedGraph:
     return UndirectedGraph(n, edges)
 
 
+def sparse_graph(rng: random.Random, n: int, degree: int = 3) -> UndirectedGraph:
+    """A random graph on n vertices with n * degree / 2 edges."""
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < n * degree // 2:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return UndirectedGraph(n, frozenset(edges))
+
+
+def random_join(rng: random.Random, n: int) -> UndirectedGraph:
+    """A random graph on n vertices, or the join of 2-4 random blocks."""
+    sizes = [n]
+    if n >= 2 and rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    g = UndirectedGraph(0, frozenset())
+    for size in sizes:
+        block = random_graph(rng, size, rng.choice((0.1, 0.3, 0.6)))
+        edges = {(u, g.n + v) for u in range(g.n) for v in range(size)}
+        edges.update(g.edges)
+        edges.update((g.n + u, g.n + v) for u, v in block.edges)
+        g = UndirectedGraph(g.n + size, frozenset(edges))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return UndirectedGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def reference_components(n: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components by union-find over an edge set, in the order
+    ``connected_components`` promises; shares no code with the library."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    comps: dict[int, list[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(c) for c in comps.values()))
+
+
+def reference_decompose(g: UndirectedGraph) -> list[UndirectedGraph]:
+    """Co-irreducible components through an explicit complement edge set."""
+    missing = {
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges
+    }
+    parts = []
+    for comp in reference_components(g.n, missing):
+        pos = {v: i for i, v in enumerate(comp)}
+        edges = frozenset((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos)
+        labels = tuple(g.labels[v] for v in comp) if g.labels is not None else None
+        parts.append(UndirectedGraph(len(comp), edges, labels))
+    return parts
+
+
 def random_matrix(
     rng: random.Random, rows: int, cols: int, bound: int = 9
 ) -> list[list[int]]:

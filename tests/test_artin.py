@@ -20,18 +20,22 @@ from raagcs import (
     canonical_form,
     classify_component,
     compare,
+    complement,
     complete_graph,
     component_ktheory,
     component_name,
+    connected_components,
     cycle_graph,
     decompose,
     decompose_oracle,
     empty_graph,
     euler_characteristic,
     graph_join,
+    induced_subgraph,
     invariant_profile,
     is_graph_algebra,
     normal_form,
+    parse_edge_list,
     parse_profile_spec,
     path_graph,
     prim_space,
@@ -39,8 +43,16 @@ from raagcs import (
     semiprojectivity,
     stable_normal_form,
 )
-from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
-from conftest import graphs, profiles, random_profile
+from raagcs import artin, cli, graphs as graphs_module
+from raagcs.artin import TRIVIAL_GROUP, Z_GROUP, profile_of_classes
+from conftest import (
+    graphs,
+    profiles,
+    random_join,
+    random_profile,
+    reference_decompose,
+    sparse_graph,
+)
 
 
 def p(spec: str) -> InvariantProfile:
@@ -213,6 +225,29 @@ class TestDecompose:
     def test_oracle_agrees_with_decompose(self, g):
         assert (len(decompose(g)) > 1) == decompose_oracle(g)
 
+    def test_matches_the_complement_route_on_seeded_joins(self):
+        rng = random.Random(30)
+        for _ in range(150):
+            g = random_join(rng, rng.randint(0, 40))
+            parts = decompose(g)
+            assert parts == reference_decompose(g)
+            assert parts == [
+                induced_subgraph(g, c) for c in connected_components(complement(g))
+            ]
+
+    def test_pieces_keep_labels(self):
+        g = parse_edge_list("a x\na y\nb x\nb y\na b\n")
+        assert [part.labels for part in decompose(g)] == [("a",), ("x", "y"), ("b",)]
+        assert decompose(g) == reference_decompose(g)
+
+    def test_sparse_join_of_three_known_blocks(self):
+        # Only one block is large, so the join stays sparse (about 6000
+        # cross edges); the large block's complement is connected.
+        big = sparse_graph(random.Random(31), 1997)
+        g = graph_join(graph_join(empty_graph(1), big), empty_graph(2))
+        assert g.n == 2000
+        assert decompose(g) == [empty_graph(1), big, empty_graph(2)]
+
 
 class TestClassifyComponent:
     def test_cases(self):
@@ -240,6 +275,22 @@ class TestInvariantProfileOfGraph:
 
     def test_empty_graph_gives_empty_profile(self):
         assert invariant_profile(empty_graph(0)).is_empty
+
+    def test_profile_of_classes(self):
+        classes = [Toeplitz(), FiniteExt(-1), InfiniteComp(), FiniteExt(-1), Toeplitz()]
+        assert profile_of_classes(classes) == p("t=2;o=1;N[-1]=2")
+        assert profile_of_classes([]).is_empty
+
+    def test_large_sparse_graph_never_builds_the_complement(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("complement built on the decomposition path")
+
+        for module in (graphs_module, artin, cli):
+            if hasattr(module, "complement"):
+                monkeypatch.setattr(module, "complement", refuse)
+        g = sparse_graph(random.Random(32), 2000)
+        prof = invariant_profile(g)
+        assert prof.t == 0 and prof.total_N == 1
 
 
 class TestNormalForm:

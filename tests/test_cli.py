@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import raagcs.artin as artin
 import raagcs.cli as cli
+import raagcs.graphs as graphs
 from raagcs.cli import detect_format, load_golden, main
+from raagcs.graphs import EDGE_LIST_MAX
 
 try:
     import tomllib
@@ -337,6 +340,39 @@ class TestDecomposeCommand:
         assert code == 0
         assert "co-irreducible components: 1" in out
         assert "E_5^-1" in out
+
+    def test_profile_comes_from_the_component_classes(self, capsys, validator, monkeypatch):
+        def refuse(g):
+            raise AssertionError("decompose ran a second decomposition")
+
+        monkeypatch.setattr(cli, "invariant_profile", refuse)
+        code, doc = run_json(capsys, validator, "decompose", "E?~o", "--json")
+        assert code == 0
+        assert doc["profile"] == {"t": 0, "o": 0, "N": [[-3, 1], [-1, 1]]}
+
+    def test_large_sparse_input_never_builds_the_complement(self, capsys, monkeypatch, tmp_path):
+        def refuse(g):
+            raise AssertionError("complement built on the decomposition path")
+
+        for module in (graphs, artin, cli):
+            if hasattr(module, "complement"):
+                monkeypatch.setattr(module, "complement", refuse)
+        path = tmp_path / "sparse.txt"
+        path.write_text("".join(f"{i} {(i * 7 + 1) % 2000}\n" for i in range(2000)))
+        code, _, err = run_cli(capsys, "decompose", str(path), "--json")
+        # The document echoes every graph as graph6, which stops at 62
+        # vertices; that limit is reached only after the decomposition.
+        assert code == 3
+        assert "graph6 caps at 62 vertices, got 2000" in err
+
+
+class TestEdgeListCap:
+    def test_declared_count_over_the_cap_is_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "vertices: 1000000000000\n0 1\n", "--json")
+        assert code == 3
+        assert out == ""
+        assert f"capped at {EDGE_LIST_MAX} vertices" in err
+        assert "1000000000000" in err
 
 
 class TestDeterminism:

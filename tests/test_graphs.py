@@ -16,6 +16,7 @@ from raagcs import (
     UndirectedGraph,
     canonical_form,
     complement,
+    complement_components,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -30,7 +31,8 @@ from raagcs import (
     path_graph,
     to_graph6,
 )
-from conftest import graphs, random_graph
+from raagcs.graphs import EDGE_LIST_MAX
+from conftest import graphs, random_graph, random_join, reference_components
 
 
 class TestUndirectedGraph:
@@ -135,6 +137,26 @@ class TestEdgeListParsing:
         with pytest.raises(ParseError, match="self-loop"):
             parse_edge_list("a a\n")
 
+    def test_non_ascii_digit_count_is_parse_error(self):
+        with pytest.raises(ParseError, match="bad vertex count"):
+            parse_edge_list("vertices: \u00b2\n")
+
+    def test_declared_count_at_the_cap(self):
+        g = parse_edge_list(f"vertices: {EDGE_LIST_MAX}\n")
+        assert g.n == EDGE_LIST_MAX
+
+    @pytest.mark.parametrize("count", [str(EDGE_LIST_MAX + 1), str(10**12), "9" * 5000])
+    def test_declared_count_over_the_cap(self, count):
+        with pytest.raises(LimitExceeded, match=f"capped at {EDGE_LIST_MAX} vertices") as info:
+            parse_edge_list(f"vertices: {count}\na b\n")
+        assert count[:20] in str(info.value)
+
+    def test_labeled_vertices_over_the_cap(self):
+        path = "".join(f"v{i} v{i + 1}\n" for i in range(EDGE_LIST_MAX - 1))
+        assert parse_edge_list(path).n == EDGE_LIST_MAX
+        with pytest.raises(LimitExceeded, match=f"got {EDGE_LIST_MAX + 1} labels"):
+            parse_edge_list(path + f"v0 v{EDGE_LIST_MAX}\n")
+
 
 class TestGraph6:
     def test_known_encodings(self):
@@ -201,6 +223,34 @@ class TestStructure:
     def test_induced_subgraph_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
             induced_subgraph(path_graph(2), [0, 5])
+        with pytest.raises(ValueError):
+            induced_subgraph(path_graph(2), [-1])
+
+    def test_complement_components(self):
+        g = graph_join(path_graph(3), empty_graph(2))
+        assert complement_components(g) == ((0, 2), (1,), (3, 4))
+        assert complement_components(complete_graph(3)) == ((0,), (1,), (2,))
+        assert complement_components(empty_graph(3)) == ((0, 1, 2),)
+        assert complement_components(empty_graph(0)) == ()
+
+    def test_component_masks_match_an_edge_search(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            g = random_join(rng, rng.randint(0, 40))
+            missing = set(complement(g).edges)
+            assert connected_components(g) == reference_components(g.n, set(g.edges))
+            assert complement_components(g) == reference_components(g.n, missing)
+            assert complement_components(g) == connected_components(complement(g))
+
+    def test_induced_subgraph_matches_edge_filter(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            n = rng.randint(0, 40)
+            g = random_graph(rng, n, rng.random())
+            vs = rng.sample(range(n), rng.randint(0, n))
+            pos = {v: i for i, v in enumerate(sorted(vs))}
+            edges = {(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos}
+            assert induced_subgraph(g, vs + vs[:2]) == UndirectedGraph(len(vs), frozenset(edges))
 
 
 def permute(g: UndirectedGraph, perm: list[int]) -> UndirectedGraph:
