@@ -179,6 +179,26 @@ def _nf_json(nf: AlgebraNormalForm) -> dict[str, Any]:
     }
 
 
+def _verdict_json(p: InvariantProfile) -> dict[str, Any]:
+    """The keys every verdict carries: profile, normal forms and name."""
+    return {
+        "profile": _profile_json(p),
+        "normal_form": _nf_json(normal_form(p)),
+        "stable_normal_form": _nf_json(stable_normal_form(p)),
+        "algebra_name": algebra_name(p),
+    }
+
+
+def _algebra_kind_json(p: InvariantProfile) -> dict[str, Any]:
+    """Graph-algebra and semiprojectivity verdicts (classify, census rows)."""
+    ga = is_graph_algebra(p)
+    sp = semiprojectivity(p)
+    return {
+        "graph_algebra": {"value": ga.value, "clause": ga.clause},
+        "semiprojectivity": {"verdict": sp.verdict, "clause": sp.clause},
+    }
+
+
 def _dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -253,8 +273,6 @@ def _classification_doc(
         warns = warns + [
             "empty profile: no components, the algebra is the scalars C"
         ]
-    ga = is_graph_algebra(p)
-    sp = semiprojectivity(p)
     prim = prim_space(p)
     components = []
     ktheory_rows = []
@@ -285,10 +303,8 @@ def _classification_doc(
         "document": "classification",
         "input": _echo(kind, value),
         "warnings": warns,
-        "profile": _profile_json(p),
-        "normal_form": _nf_json(normal_form(p)),
-        "stable_normal_form": _nf_json(stable_normal_form(p)),
-        "algebra_name": algebra_name(p),
+        **_verdict_json(p),
+        **_algebra_kind_json(p),
         "components": components,
         "ktheory": ktheory_rows,
         "prim_space": {
@@ -298,8 +314,6 @@ def _classification_doc(
             "is_product": prim.is_product,
             "minimal_nonzero_ideals": _extnat_json(prim.minimal_nonzero_ideals),
         },
-        "graph_algebra": {"value": ga.value, "clause": ga.clause},
-        "semiprojectivity": {"verdict": sp.verdict, "clause": sp.clause},
     }
 
 
@@ -393,10 +407,7 @@ def _compare_side(
     return {
         "input": _echo(kind, value),
         "warnings": warns,
-        "profile": _profile_json(p),
-        "normal_form": _nf_json(normal_form(p)),
-        "stable_normal_form": _nf_json(stable_normal_form(p)),
-        "algebra_name": algebra_name(p),
+        **_verdict_json(p),
     }
 
 
@@ -421,18 +432,12 @@ def build_census(n: int, limit: int = ENUMERATE_MAX) -> list[dict[str, Any]]:
     rows = []
     for g in enumerate_graphs(n, limit=limit):
         p = invariant_profile(g)
-        ga = is_graph_algebra(p)
-        sp = semiprojectivity(p)
         rows.append(
             {
                 "graph6": to_graph6(g),
                 "edges": g.edge_count,
-                "profile": _profile_json(p),
-                "normal_form": _nf_json(normal_form(p)),
-                "stable_normal_form": _nf_json(stable_normal_form(p)),
-                "algebra_name": algebra_name(p),
-                "graph_algebra": {"value": ga.value, "clause": ga.clause},
-                "semiprojectivity": {"verdict": sp.verdict, "clause": sp.clause},
+                **_verdict_json(p),
+                **_algebra_kind_json(p),
             }
         )
     return rows

@@ -40,19 +40,48 @@ class DuplicateEdgeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """A finite simple graph; edges are (u, v) pairs with u < v."""
+    """A finite simple graph, stored as one neighbor bitmask per vertex.
+
+    Bit v of ``adjacency[u]`` is set when u and v are adjacent: the rows
+    are symmetric, and no row has its own bit or a bit at or above n.
+    ``edges`` is derived from the rows; ``from_edges`` builds from pairs.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, adj = self.n, self.adjacency
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"bad edge ({u}, {v}) in a graph on {self.n} vertices")
-        if self.labels is not None and len(self.labels) != self.n:
+        if not isinstance(adj, tuple) or any(type(row) is not int for row in adj):
+            raise TypeError(
+                "adjacency must be a tuple of int row bitmasks; "
+                "UndirectedGraph.from_edges builds a graph from pairs"
+            )
+        if len(adj) != n:
+            raise ValueError(f"{n} vertices need {n} adjacency rows, got {len(adj)}")
+        outside = -1 << n
+        above = 0
+        for u, row in enumerate(adj):
+            if row & outside or row >> u & 1:
+                raise ValueError(f"adjacency row {u} names itself or a vertex >= {n}")
+            # Highest bit first: clearing it shrinks the row, which is
+            # faster on dense rows than clearing the lowest bit.
+            row >>= u + 1
+            above += row.bit_count()
+            while row:
+                j = row.bit_length() - 1
+                row ^= 1 << j
+                v = u + 1 + j
+                if not adj[v] >> u & 1:
+                    raise ValueError(f"adjacency is not symmetric at ({u}, {v})")
+        # Every bit above the diagonal has its mirror below it.  With no more
+        # bits in all than twice those above, no bit below lacks a mirror.
+        if 2 * above != sum(row.bit_count() for row in adj):
+            raise ValueError("adjacency is not symmetric")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must name every vertex")
 
     @staticmethod
@@ -61,42 +90,43 @@ class UndirectedGraph:
         pairs: Iterable[tuple[int, int]],
         labels: tuple[str, ...] | None = None,
     ) -> "UndirectedGraph":
-        """Build a graph from unordered pairs, normalizing endpoint order."""
-        edges = set()
+        """Build a graph from unordered pairs; repeats and either order are fine."""
+        adj = [0] * n
         for u, v in pairs:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            edges.add((min(u, v), max(u, v)))
-        return UndirectedGraph(n, frozenset(edges), labels)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"bad edge ({u}, {v}) in a graph on {n} vertices")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return UndirectedGraph(n, tuple(adj), labels)
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Neighbor set of each vertex as a bitmask."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs with u < v, computed from the rows on first use."""
+        return frozenset(
+            (u, v)
+            for u, row in enumerate(self.adjacency)
+            for v in _bits(row & -(2 << u))
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v and bool(self.adjacency[u] >> v & 1)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.adjacency))
 
 
 def empty_graph(n: int) -> UndirectedGraph:
-    return UndirectedGraph(n, frozenset())
+    return UndirectedGraph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> UndirectedGraph:
-    return UndirectedGraph(
-        n, frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    )
+    return complement(empty_graph(n))
 
 
 def cycle_graph(n: int) -> UndirectedGraph:
@@ -106,26 +136,28 @@ def cycle_graph(n: int) -> UndirectedGraph:
 
 
 def path_graph(n: int) -> UndirectedGraph:
-    return UndirectedGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return UndirectedGraph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def complete_bipartite(a: int, b: int) -> UndirectedGraph:
-    return UndirectedGraph(
-        a + b, frozenset((u, a + v) for u in range(a) for v in range(b))
-    )
+    return graph_join(empty_graph(a), empty_graph(b))
 
 
 def disjoint_union(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
-    edges = set(g.edges)
-    edges.update((u + g.n, v + g.n) for u, v in h.edges)
-    return UndirectedGraph(g.n + h.n, frozenset(edges))
+    return UndirectedGraph(
+        g.n + h.n, g.adjacency + tuple(row << g.n for row in h.adjacency)
+    )
 
 
 def graph_join(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     """Disjoint union plus every cross edge."""
-    base = disjoint_union(g, h)
-    cross = {(u, g.n + v) for u in range(g.n) for v in range(h.n)}
-    return UndirectedGraph(base.n, base.edges | cross)
+    to_h = ((1 << h.n) - 1) << g.n
+    to_g = (1 << g.n) - 1
+    return UndirectedGraph(
+        g.n + h.n,
+        tuple(row | to_h for row in g.adjacency)
+        + tuple(row << g.n | to_g for row in h.adjacency),
+    )
 
 
 def parse_edge_list(text: str) -> UndirectedGraph:
@@ -140,7 +172,7 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     """
     index: dict[str, int] = {}
     labels: list[str] = []
-    edges: set[tuple[int, int]] = set()
+    adj: list[int] = []
     declared: int | None = None
     body_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,14 +213,17 @@ def parse_edge_list(text: str) -> UndirectedGraph:
                     )
                 index[name] = len(labels)
                 labels.append(name)
-        edge = (min(index[a], index[b]), max(index[a], index[b]))
-        if edge in edges:
+                adj.append(0)
+        u, v = index[a], index[b]
+        if adj[u] >> v & 1:
             warnings.warn(
                 f"duplicate edge {a} {b} (line {lineno})",
                 DuplicateEdgeWarning,
                 stacklevel=2,
             )
-        edges.add(edge)
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         body_seen = True
     n = max(declared or 0, len(labels))
     if declared is not None and declared < len(labels):
@@ -199,7 +234,8 @@ def parse_edge_list(text: str) -> UndirectedGraph:
         )
     while len(labels) < n:
         labels.append(str(len(labels)))
-    return UndirectedGraph(n, frozenset(edges), tuple(labels) if labels else None)
+    adj.extend([0] * (n - len(adj)))
+    return UndirectedGraph(n, tuple(adj), tuple(labels) if labels else None)
 
 
 def _pack_graph6(n: int, bits: list[int]) -> bytes:
@@ -241,32 +277,31 @@ def parse_graph6(text: str | bytes) -> UndirectedGraph:
             raise ParseError(f"invalid graph6 byte {ch}")
         value = ch - 63
         bits.extend(value >> shift & 1 for shift in range(5, -1, -1))
-    edges = set()
+    adj = [0] * n
     k = 0
     for v in range(1, n):
         for u in range(v):
             if bits[k]:
-                edges.add((u, v))
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
             k += 1
-    return UndirectedGraph(n, frozenset(edges))
+    return UndirectedGraph(n, tuple(adj))
 
 
 def to_graph6(g: UndirectedGraph) -> str:
     """Encode with the identity vertex order (no canonicalization)."""
     if g.n > GRAPH6_MAX:
         raise LimitExceeded(f"graph6 caps at {GRAPH6_MAX} vertices, got {g.n}")
-    bits = [1 if (u, v) in g.edges else 0 for v in range(g.n) for u in range(v)]
+    adj = g.adjacency
+    bits = [adj[v] >> u & 1 for v in range(g.n) for u in range(v)]
     return _pack_graph6(g.n, bits).decode("ascii")
 
 
 def complement(g: UndirectedGraph) -> UndirectedGraph:
-    edges = frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
+    full = (1 << g.n) - 1
+    return UndirectedGraph(
+        g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.adjacency)), g.labels
     )
-    return UndirectedGraph(g.n, edges, g.labels)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -315,7 +350,7 @@ def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedG
     """Restrict to a vertex set, renumbering it in ascending order.
 
     Only edges inside the set are visited: each kept vertex walks its
-    kept neighbors above it.
+    kept neighbors.
     """
     vs = sorted(set(vertices))
     keep = 0
@@ -327,13 +362,9 @@ def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedG
         return g  # graphs are immutable, so the whole vertex set can share g
     pos = {v: i for i, v in enumerate(vs)}
     adj = g.adjacency
-    edges = frozenset(
-        (pos[v], pos[u])
-        for v in vs
-        for u in _bits(adj[v] & keep & -(2 << v))
-    )
+    rows = tuple(sum(1 << pos[u] for u in _bits(adj[v] & keep)) for v in vs)
     labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
-    return UndirectedGraph(len(vs), edges, labels)
+    return UndirectedGraph(len(vs), rows, labels)
 
 
 def _twins(adj: tuple[int, ...], u: int, w: int) -> bool:
@@ -419,10 +450,11 @@ def enumerate_graphs(n: int, limit: int = ENUMERATE_MAX) -> list[UndirectedGraph
     for k in range(1, n + 1):
         seen: set[bytes] = set()
         for key in keys:
-            base = set(parse_graph6(key).edges)
+            base = parse_graph6(key).adjacency
             for nb in range(1 << (k - 1)):
-                extra = {(i, k - 1) for i in range(k - 1) if nb >> i & 1}
-                g = UndirectedGraph(k, frozenset(base | extra))
-                seen.add(canonical_form(g))
+                rows = tuple(
+                    row | (nb >> i & 1) << (k - 1) for i, row in enumerate(base)
+                )
+                seen.add(canonical_form(UndirectedGraph(k, rows + (nb,))))
         keys = sorted(seen)
     return [parse_graph6(key) for key in keys]

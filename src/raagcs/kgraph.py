@@ -30,7 +30,11 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import ParseError
+from .graphs import LimitExceeded, ParseError
+
+# Largest vertex count a dgraph may declare; the header is otherwise taken
+# on trust and sizes every K-theory matrix and vertex scan.
+DGRAPH_MAX = 1_000
 
 
 class NotRealizable(Exception):
@@ -105,7 +109,8 @@ def parse_dgraph(text: str) -> DirectedGraph:
 
     The header ``dvertices: <k>`` is mandatory.  Each following line is
     either ``<src> <dst> <multiplicity>`` or ``<v> *`` to flag an infinite
-    emitter; ``#`` starts a comment.  Repeated edge lines add up.
+    emitter; ``#`` starts a comment.  Repeated edge lines add up.  A
+    declared count above ``DGRAPH_MAX`` raises ``LimitExceeded``.
     """
     n: int | None = None
     mult: dict[tuple[int, int], int] = {}
@@ -118,17 +123,29 @@ def parse_dgraph(text: str) -> DirectedGraph:
             if n is not None:
                 raise ParseError("repeated dvertices: header", lineno)
             rest = line[len("dvertices:") :].strip()
-            if not rest.isdigit():
+            if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"bad vertex count {rest!r}", lineno)
-            n = int(rest)
+            digits = rest.lstrip("0") or "0"
+            # The length test keeps int() off digit strings it refuses.
+            if len(digits) > len(str(DGRAPH_MAX)) or int(digits) > DGRAPH_MAX:
+                raise LimitExceeded(
+                    f"dgraphs are capped at {DGRAPH_MAX} vertices, "
+                    f"got dvertices: {digits} (line {lineno})"
+                )
+            n = int(digits)
             continue
         if n is None:
             raise ParseError("missing dvertices: header", lineno)
         parts = line.split()
         if len(parts) == 2 and parts[1] == "*":
-            if not parts[0].isdigit():
-                raise ParseError(f"bad vertex {parts[0]!r}", lineno)
-            emitters.add(int(parts[0]))
+            v = parts[0]
+            if not (v.isascii() and v.isdigit()):
+                raise ParseError(f"bad vertex {v!r}", lineno)
+            if len(v.lstrip("0")) > len(str(n)):
+                raise ParseError(
+                    f"infinite emitter of {len(v)} digits out of range", lineno
+                )
+            emitters.add(int(v))
             continue
         if len(parts) != 3:
             raise ParseError("expected '<src> <dst> <mult>' or '<v> *'", lineno)
@@ -357,19 +374,18 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     k0 = AbGroup(n - rank, tuple(diag[i] for i in torsion_rows))
 
-    def coords(vec: Sequence[int]) -> tuple[int, ...]:
-        image = [sum(snf.U[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    def coords(image: Sequence[int]) -> tuple[int, ...]:
+        """Class of the vector whose image under U is ``image``."""
         tors = tuple(image[i] % diag[i] for i in torsion_rows)
         free = tuple(image[rank:])
         return tors + free
 
+    # U maps the unit (all ones) to its row sums and vertex v to column v.
     return KTheoryReport(
         k0=k0,
         k1_rank=len(regs) - rank,
-        unit_class=coords([1] * n),
-        vertex_class=tuple(
-            coords([1 if i == v else 0 for i in range(n)]) for v in range(n)
-        ),
+        unit_class=coords([sum(row) for row in snf.U]),
+        vertex_class=tuple(coords([row[v] for row in snf.U]) for v in range(n)),
         regular_vertices=regs,
     )
 

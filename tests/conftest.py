@@ -17,7 +17,7 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> UndirectedGraph:
         for v in range(u + 1, n)
         if rng.random() < p
     )
-    return UndirectedGraph(n, edges)
+    return UndirectedGraph.from_edges(n, edges)
 
 
 def sparse_graph(rng: random.Random, n: int, degree: int = 3) -> UndirectedGraph:
@@ -26,7 +26,7 @@ def sparse_graph(rng: random.Random, n: int, degree: int = 3) -> UndirectedGraph
     while len(edges) < n * degree // 2:
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
-    return UndirectedGraph(n, frozenset(edges))
+    return UndirectedGraph.from_edges(n, frozenset(edges))
 
 
 def random_join(rng: random.Random, n: int) -> UndirectedGraph:
@@ -35,13 +35,13 @@ def random_join(rng: random.Random, n: int) -> UndirectedGraph:
     if n >= 2 and rng.random() < 0.5:
         cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-    g = UndirectedGraph(0, frozenset())
+    g = UndirectedGraph.from_edges(0, frozenset())
     for size in sizes:
         block = random_graph(rng, size, rng.choice((0.1, 0.3, 0.6)))
         edges = {(u, g.n + v) for u in range(g.n) for v in range(size)}
         edges.update(g.edges)
         edges.update((g.n + u, g.n + v) for u, v in block.edges)
-        g = UndirectedGraph(g.n + size, frozenset(edges))
+        g = UndirectedGraph.from_edges(g.n + size, frozenset(edges))
     perm = list(range(n))
     rng.shuffle(perm)
     return UndirectedGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -76,7 +76,7 @@ def reference_decompose(g: UndirectedGraph) -> list[UndirectedGraph]:
         pos = {v: i for i, v in enumerate(comp)}
         edges = frozenset((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos)
         labels = tuple(g.labels[v] for v in comp) if g.labels is not None else None
-        parts.append(UndirectedGraph(len(comp), edges, labels))
+        parts.append(UndirectedGraph.from_edges(len(comp), edges, labels))
     return parts
 
 
@@ -104,7 +104,7 @@ def graphs(draw: st.DrawFn, max_n: int = 8) -> UndirectedGraph:
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return UndirectedGraph(n, frozenset(picks))
+    return UndirectedGraph.from_edges(n, frozenset(picks))
 
 
 extnats = st.one_of(

@@ -118,7 +118,7 @@ def test_c02_euler_characteristic_families():
         assert euler_characteristic(empty_graph(m + 1)) == -m
     for n in range(1, 7):
         full = complete_bipartite(n + 1, n + 1)
-        nearly = UndirectedGraph(full.n, full.edges - {(0, n + 1)})
+        nearly = UndirectedGraph.from_edges(full.n, full.edges - {(0, n + 1)})
         assert euler_characteristic(nearly) == n * n - 1
         for j in range(7):
             padded = disjoint_union(nearly, empty_graph(j))

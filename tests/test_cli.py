@@ -18,6 +18,7 @@ import raagcs.cli as cli
 import raagcs.graphs as graphs
 from raagcs.cli import detect_format, load_golden, main
 from raagcs.graphs import EDGE_LIST_MAX
+from raagcs.kgraph import DGRAPH_MAX
 
 try:
     import tomllib
@@ -304,6 +305,22 @@ class TestKTheory:
         assert code == 0
         assert "K0 = Z, K1 = Z" in out
         assert "condition (K): fails" in out
+
+    @pytest.mark.parametrize(
+        "text", ["dvertices: \u00b2\n", "dvertices: 2\n\u00b9 *\n"]
+    )
+    def test_non_ascii_digits_are_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "ktheory", text, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line ")
+
+    def test_declared_count_over_the_cap_is_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "ktheory", "dvertices: 3000000\n0 0 1\n", "--json")
+        assert code == 3
+        assert out == ""
+        assert f"capped at {DGRAPH_MAX} vertices" in err
+        assert "3000000" in err
 
 
 class TestEulerCommand:

@@ -103,7 +103,7 @@ class TestOracle:
             euler_oracle(empty_graph(21))
 
     def test_dense_graph(self):
-        g = UndirectedGraph(
+        g = UndirectedGraph.from_edges(
             6, frozenset({(u, v) for u in range(6) for v in range(u + 1, 6)} - {(0, 5)})
         )
         assert euler_characteristic(g) == euler_oracle(g)

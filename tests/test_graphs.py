@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -38,19 +39,48 @@ from conftest import graphs, random_graph, random_join, reference_components
 class TestUndirectedGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError):
-            UndirectedGraph(-1, frozenset())
+            UndirectedGraph.from_edges(-1, frozenset())
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
-            UndirectedGraph(2, frozenset({(0, 2)}))
+            UndirectedGraph.from_edges(2, frozenset({(0, 2)}))
 
-    def test_rejects_reversed_edge_pair(self):
-        with pytest.raises(ValueError):
-            UndirectedGraph(3, frozenset({(2, 1)}))
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            (3, (0b010, 0b000, 0b000), "not symmetric"),  # 0 sees 1, not 1 sees 0
+            (3, (0b000, 0b000, 0b010), "not symmetric"),  # 2 sees 1, not 1 sees 2
+            (3, (0b010, 0b000, 0b010), "not symmetric"),  # both, counts balance
+            (2, (0b01, 0b00), "row 0 names itself"),  # self bit
+            (2, (0b100, 0b000), "row 0 names itself or a vertex >= 2"),  # bit at n
+            (2, (-1, 0), "row 0 names itself or a vertex >= 2"),  # bits above n
+            (3, (0b010, 0b001), "need 3 adjacency rows, got 2"),
+            (1, (0, 0), "need 1 adjacency rows, got 2"),
+        ],
+    )
+    def test_rejects_broken_mask_rows(self, n, rows, message):
+        with pytest.raises(ValueError, match=message):
+            UndirectedGraph(n, rows)
+
+    def test_rejects_an_edge_set_in_place_of_masks(self):
+        with pytest.raises(TypeError, match="from_edges"):
+            UndirectedGraph(2, frozenset({(0, 1)}))
+        with pytest.raises(TypeError):
+            UndirectedGraph(2, ((0, 1), (1, 0)))
+
+    def test_from_edges_rejects_negative_vertex(self):
+        with pytest.raises(ValueError, match="bad edge"):
+            UndirectedGraph.from_edges(3, [(0, -1)])
+
+    @given(graphs())
+    def test_from_edges_of_edges_is_identity(self, g):
+        assert UndirectedGraph.from_edges(g.n, g.edges) == g
+        assert g.edge_count == len(g.edges)
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in g.edges)
 
     def test_rejects_wrong_label_count(self):
         with pytest.raises(ValueError):
-            UndirectedGraph(2, frozenset(), labels=("a",))
+            UndirectedGraph.from_edges(2, frozenset(), labels=("a",))
 
     def test_from_edges_normalizes_order(self):
         g = UndirectedGraph.from_edges(3, [(2, 0), (1, 2)])
@@ -151,6 +181,31 @@ class TestEdgeListParsing:
             parse_edge_list(f"vertices: {count}\na b\n")
         assert count[:20] in str(info.value)
 
+    def test_matches_from_edges_on_seeded_lists(self):
+        # Repeated and reversed lines give the graph of the distinct pairs,
+        # with one duplicate warning per repeat.
+        rng = random.Random(22)
+        for _ in range(100):
+            n = rng.randint(2, 30)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            lines = pairs + [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)]
+            rng.shuffle(lines)
+            text = f"vertices: {n}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = parse_edge_list(text)
+            index: dict[int, int] = {}
+            for u, v in lines:
+                index.setdefault(u, len(index))
+                index.setdefault(v, len(index))
+            normalised = {
+                (min(index[u], index[v]), max(index[u], index[v])) for u, v in lines
+            }
+            assert g.labels[: len(index)] == tuple(str(v) for v in index)
+            assert g == UndirectedGraph.from_edges(n, sorted(normalised), g.labels)
+            assert len(caught) == len(lines) - len(normalised)
+            assert all(issubclass(w.category, DuplicateEdgeWarning) for w in caught)
+
     def test_labeled_vertices_over_the_cap(self):
         path = "".join(f"v{i} v{i + 1}\n" for i in range(EDGE_LIST_MAX - 1))
         assert parse_edge_list(path).n == EDGE_LIST_MAX
@@ -161,7 +216,7 @@ class TestEdgeListParsing:
 class TestGraph6:
     def test_known_encodings(self):
         assert to_graph6(empty_graph(5)) == "D??"
-        assert to_graph6(UndirectedGraph(2, frozenset({(0, 1)}))) == "A_"
+        assert to_graph6(UndirectedGraph.from_edges(2, frozenset({(0, 1)}))) == "A_"
         assert to_graph6(empty_graph(2)) == "A?"
         assert to_graph6(path_graph(3)) == "Bg"
         assert to_graph6(complete_graph(3)) == "Bw"
@@ -250,7 +305,7 @@ class TestStructure:
             vs = rng.sample(range(n), rng.randint(0, n))
             pos = {v: i for i, v in enumerate(sorted(vs))}
             edges = {(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos}
-            assert induced_subgraph(g, vs + vs[:2]) == UndirectedGraph(len(vs), frozenset(edges))
+            assert induced_subgraph(g, vs + vs[:2]) == UndirectedGraph.from_edges(len(vs), frozenset(edges))
 
 
 def permute(g: UndirectedGraph, perm: list[int]) -> UndirectedGraph:
@@ -268,7 +323,7 @@ class TestCanonicalForm:
         by_orbit: dict[tuple, set[frozenset]] = {}
         for bits in range(64):
             edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            g = UndirectedGraph(4, edges)
+            g = UndirectedGraph.from_edges(4, edges)
             by_canonical.setdefault(canonical_form(g), set()).add(edges)
             orbit = min(
                 tuple(sorted(permute(g, list(perm)).edges))

@@ -25,7 +25,8 @@ from raagcs import (
     verify_realization,
 )
 from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
-from raagcs.kgraph import integer_determinant, mat_mul
+from raagcs.graphs import LimitExceeded
+from raagcs.kgraph import DGRAPH_MAX, integer_determinant, mat_mul
 from conftest import dgraphs, random_matrix
 
 p = parse_profile_spec
@@ -100,6 +101,28 @@ class TestDgraphFormat:
             parse_dgraph("dvertices: 1\n0 3 1\n")
         with pytest.raises(ParseError, match="bad vertex"):
             parse_dgraph("dvertices: 1\nx *\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dvertices: \u00b2\n", "line 1: bad vertex count"),
+            ("dvertices: 2\n\u00b9 *\n", "line 2: bad vertex"),
+            ("dvertices: 2\n" + "9" * 5000 + " *\n", "line 2: infinite emitter of 5000 digits"),
+        ],
+    )
+    def test_digits_int_refuses_are_parse_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_dgraph(text)
+
+    def test_declared_count_at_the_cap(self):
+        assert parse_dgraph(f"dvertices: {DGRAPH_MAX}\n").n == DGRAPH_MAX
+        assert parse_dgraph(f"dvertices: 000{DGRAPH_MAX}\n").n == DGRAPH_MAX
+
+    @pytest.mark.parametrize("count", [str(DGRAPH_MAX + 1), "3000000", "9" * 5000])
+    def test_declared_count_over_the_cap(self, count):
+        with pytest.raises(LimitExceeded, match=f"capped at {DGRAPH_MAX} vertices") as info:
+            parse_dgraph(f"dvertices: {count}\n0 0 1\n")
+        assert count[:20] in str(info.value)
 
 
 def det_oracle(m: list[list[int]]) -> int:
@@ -231,6 +254,17 @@ class TestGraphKTheory:
         rep = graph_ktheory(DirectedGraph(0))
         assert rep.k0 == TRIVIAL_GROUP and rep.k1_rank == 0
         assert rep.unit_class == ()
+
+    @given(dgraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_class_is_the_sum_of_vertex_classes(self, dg):
+        # [1] = sum of [p_v] in K0: torsion coordinates add modulo their
+        # invariant factors, free coordinates add exactly.
+        rep = graph_ktheory(dg)
+        torsion = rep.k0.torsion
+        total = [sum(c) for c in zip(*rep.vertex_class)] or [0] * len(rep.unit_class)
+        reduced = [x % d for x, d in zip(total, torsion)] + total[len(torsion) :]
+        assert tuple(reduced) == rep.unit_class
 
 
 class TestSinkIdealAnalysis:
