@@ -592,7 +592,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 def cmd_ktheory(args: argparse.Namespace) -> int:
     _, dg, _ = _parse_input(_read_input(args.input), args.format, ("dgraph",))
-    rep = graph_ktheory(dg)
     warns: list[str] = []
     extension = None
     if len(dg.sinks) == 1:
@@ -608,6 +607,7 @@ def cmd_ktheory(args: argparse.Namespace) -> int:
                 "quotient_k0": _group_json(six.quotient.k0),
                 "quotient_k1": _group_json(six.quotient.k1),
             }
+    rep = graph_ktheory(dg) if extension is None else six.full
     doc = {
         "document": "ktheory",
         "dgraph": format_dgraph(dg),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX = 62
 # Largest vertex count an edge list may declare or name; a ``vertices:``
@@ -160,6 +160,21 @@ def graph_join(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     )
 
 
+def parse_count_header(line: str, key: str, cap: int, kind: str, lineno: int) -> int:
+    """The count in a ``<key> <count>`` header: ASCII digits, at most ``cap``
+    (``LimitExceeded`` naming ``kind``, the cap and the count, otherwise)."""
+    rest = line[len(key) :].strip()
+    if not (rest.isascii() and rest.isdigit()):
+        raise ParseError(f"bad vertex count {rest!r}", lineno)
+    digits = rest.lstrip("0") or "0"
+    # The length test keeps int() off digit strings it refuses.
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise LimitExceeded(
+            f"{kind} are capped at {cap} vertices, got {key} {digits} (line {lineno})"
+        )
+    return int(digits)
+
+
 def parse_edge_list(text: str) -> UndirectedGraph:
     """Parse the line-oriented edge-list format.
 
@@ -184,17 +199,9 @@ def parse_edge_list(text: str) -> UndirectedGraph:
                 raise ParseError("vertices: header must precede all edges", lineno)
             if declared is not None:
                 raise ParseError("repeated vertices: header", lineno)
-            rest = line[len("vertices:") :].strip()
-            if not (rest.isascii() and rest.isdigit()):
-                raise ParseError(f"bad vertex count {rest!r}", lineno)
-            digits = rest.lstrip("0") or "0"
-            # The length test keeps int() off digit strings it refuses.
-            if len(digits) > len(str(EDGE_LIST_MAX)) or int(digits) > EDGE_LIST_MAX:
-                raise LimitExceeded(
-                    f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
-                    f"got vertices: {digits} (line {lineno})"
-                )
-            declared = int(digits)
+            declared = parse_count_header(
+                line, "vertices:", EDGE_LIST_MAX, "edge lists", lineno
+            )
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -312,26 +319,33 @@ def _bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _components(g: UndirectedGraph, flip: int) -> tuple[tuple[int, ...], ...]:
-    """Components of the graph whose rows are ``adjacency[v] ^ flip``.
+def reachable(rows: Sequence[int], start: int, allowed: int, flip: int = 0) -> int:
+    """The mask of ``start`` (in ``allowed``) and what it reaches through ``allowed``.
 
     A breadth-first search over masks: the unseen vertices one row reaches
-    join the frontier and the component in one step.  Rows are formed on
-    the fly, so the complement (``flip`` = all n bits) is never stored.
+    join the frontier in one step, and the search stops once nothing in
+    ``allowed`` is unseen.  Vertex v's row is ``rows[v] ^ flip``, formed on
+    the fly, so a complement (``flip`` = all n bits) is never stored.
     """
-    adj = g.adjacency
+    frontier = 1 << start
+    unseen = allowed & ~frontier
+    while frontier and unseen:
+        low = frontier & -frontier
+        frontier ^= low
+        new = unseen & (rows[low.bit_length() - 1] ^ flip)
+        unseen ^= new
+        frontier |= new
+    return allowed ^ unseen
+
+
+def _components(g: UndirectedGraph, flip: int) -> tuple[tuple[int, ...], ...]:
+    """Components of the graph whose rows are ``adjacency[v] ^ flip``: each
+    is the ``reachable`` set of the least vertex no earlier one holds."""
     unseen = (1 << g.n) - 1
     out = []
     while unseen:
-        comp = frontier = unseen & -unseen
+        comp = reachable(g.adjacency, (unseen & -unseen).bit_length() - 1, unseen, flip)
         unseen ^= comp
-        while frontier and unseen:
-            low = frontier & -frontier
-            frontier ^= low
-            new = unseen & (adj[low.bit_length() - 1] ^ flip)
-            unseen ^= new
-            frontier |= new
-            comp |= new
         out.append(tuple(_bits(comp)))
     return tuple(out)
 

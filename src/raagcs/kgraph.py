@@ -16,6 +16,7 @@ through the Smith-normal-form verification before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .artin import (
@@ -30,11 +31,15 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import LimitExceeded, ParseError
+from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, reachable
 
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
 DGRAPH_MAX = 1_000
+# Most vertices the condition (K) walk may enter from one base vertex.  The
+# walk is exact but can be factorial: a base with one simple loop and many
+# dead ends that still reach it visits every simple path through them.
+WALK_BUDGET = 1_000_000
 
 
 class NotRealizable(Exception):
@@ -77,10 +82,25 @@ class DirectedGraph:
             if not 0 <= v < self.n:
                 raise ValueError(f"infinite emitter {v} out of range")
 
+    @cached_property
+    def successors(self) -> tuple[int, ...]:
+        """Bit t of row s is set when s has an edge to t: the one view every
+        per-vertex question reads, derived from edge_mult on first use."""
+        rows = [0] * self.n
+        for s, t in self.edge_mult:
+            rows[s] |= 1 << t
+        return tuple(rows)
+
+    @cached_property
+    def predecessors(self) -> tuple[int, ...]:
+        """The successor rows transposed: bit s of row t for an edge s -> t."""
+        rows = [0] * self.n
+        for s, t in self.edge_mult:
+            rows[t] |= 1 << s
+        return tuple(rows)
+
     def emits(self, v: int) -> bool:
-        return v in self.infinite_emitters or any(
-            s == v for s, _ in self.edge_mult
-        )
+        return v in self.infinite_emitters or self.successors[v] != 0
 
     @property
     def sinks(self) -> tuple[int, ...]:
@@ -89,9 +109,7 @@ class DirectedGraph:
     @property
     def regular_vertices(self) -> tuple[int, ...]:
         return tuple(
-            v
-            for v in range(self.n)
-            if v not in self.infinite_emitters and self.emits(v)
+            v for v in range(self.n) if self.successors[v] and v not in self.infinite_emitters
         )
 
     def multiplicity(self, s: int, t: int) -> int:
@@ -99,9 +117,7 @@ class DirectedGraph:
 
     def out_edges(self, v: int) -> list[tuple[int, int]]:
         """(target, multiplicity) pairs, sorted by target."""
-        return sorted(
-            (t, m) for (s, t), m in self.edge_mult.items() if s == v
-        )
+        return [(t, self.edge_mult[v, t]) for t in _bits(self.successors[v])]
 
 
 def parse_dgraph(text: str) -> DirectedGraph:
@@ -122,46 +138,39 @@ def parse_dgraph(text: str) -> DirectedGraph:
         if line.startswith("dvertices:"):
             if n is not None:
                 raise ParseError("repeated dvertices: header", lineno)
-            rest = line[len("dvertices:") :].strip()
-            if not (rest.isascii() and rest.isdigit()):
-                raise ParseError(f"bad vertex count {rest!r}", lineno)
-            digits = rest.lstrip("0") or "0"
-            # The length test keeps int() off digit strings it refuses.
-            if len(digits) > len(str(DGRAPH_MAX)) or int(digits) > DGRAPH_MAX:
-                raise LimitExceeded(
-                    f"dgraphs are capped at {DGRAPH_MAX} vertices, "
-                    f"got dvertices: {digits} (line {lineno})"
-                )
-            n = int(digits)
+            n = parse_count_header(line, "dvertices:", DGRAPH_MAX, "dgraphs", lineno)
             continue
         if n is None:
             raise ParseError("missing dvertices: header", lineno)
         parts = line.split()
         if len(parts) == 2 and parts[1] == "*":
-            v = parts[0]
-            if not (v.isascii() and v.isdigit()):
-                raise ParseError(f"bad vertex {v!r}", lineno)
-            if len(v.lstrip("0")) > len(str(n)):
-                raise ParseError(
-                    f"infinite emitter of {len(v)} digits out of range", lineno
-                )
-            emitters.add(int(v))
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ParseError(f"bad vertex {parts[0]!r}", lineno)
+            emitters.add(_vertex_field(parts[0], n, "infinite emitter", lineno))
             continue
         if len(parts) != 3:
             raise ParseError("expected '<src> <dst> <mult>' or '<v> *'", lineno)
+        if not all(x.isascii() and x.isdigit() for x in parts):
+            raise ParseError(f"non-integer or negative field in {line!r}", lineno)
+        s, t, m = parts
+        s, t = (_vertex_field(x, n, "edge endpoint", lineno) for x in (s, t))
         try:
-            s, t, m = (int(x) for x in parts)
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
-        if m < 0:
-            raise ParseError("negative multiplicity", lineno)
-        mult[(s, t)] = mult.get((s, t), 0) + m
+            mult[s, t] = mult.get((s, t), 0) + int(m)
+        except ValueError:  # more digits than int() takes
+            raise ParseError(f"multiplicity too long: {len(m)} digits", lineno) from None
     if n is None:
         raise ParseError("missing dvertices: header")
-    try:
-        return DirectedGraph(n, mult, frozenset(emitters))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return DirectedGraph(n, mult, frozenset(emitters))
+
+
+def _vertex_field(x: str, n: int, what: str, lineno: int) -> int:
+    """An ASCII-digit vertex field, checked against the vertex count."""
+    # The length test keeps int() off digit strings it refuses.
+    if len(x.lstrip("0")) > len(str(n)):
+        raise ParseError(f"{what} of {len(x)} digits out of range", lineno)
+    if int(x) >= n:
+        raise ParseError(f"{what} {int(x)} out of range for {n} vertices", lineno)
+    return int(x)
 
 
 def format_dgraph(dg: DirectedGraph) -> str:
@@ -415,12 +424,11 @@ def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
         raise ValueError(f"expected exactly one sink, found {len(sinks)}")
     w = sinks[0]
     for v in dg.regular_vertices:
-        out = dg.out_edges(v)
-        if out and all(t == w for t, _ in out):
+        if dg.successors[v] == 1 << w:
             raise ValueError(
                 f"{{{w}}} is not saturated: vertex {v} sends all edges to it"
             )
-    if not any(t == w and s != w for (s, t) in dg.edge_mult):
+    if not dg.predecessors[w]:  # w has no loop: any edge in is from another vertex
         raise ValueError(f"sink {w} is not reachable from any other vertex")
     keep = [v for v in range(dg.n) if v != w]
     renum = {v: i for i, v in enumerate(keep)}
@@ -447,57 +455,46 @@ def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
     )
 
 
-def _simple_loop_count(dg: DirectedGraph, base: int, cap: int = 2) -> int:
-    """Count simple loops based at a vertex, saturating at cap.
-
-    A simple loop leaves base, repeats no intermediate vertex, and returns
-    to base; parallel edges count separately, so the count multiplies the
-    edge multiplicities along each vertex path.
-    """
-    out = {v: dg.out_edges(v) for v in range(dg.n)}
-    count = 0
-
-    def walk(v: int, visited: int, weight: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        for target, m in out[v]:
-            if target == base:
-                count += weight * m
-                if count >= cap:
-                    return
-            elif not visited >> target & 1:
-                walk(target, visited | 1 << target, weight * m)
-
-    walk(base, 1 << base, 1)
-    return min(count, cap)
-
-
 def condition_k(dg: DirectedGraph) -> bool:
-    """True when every vertex bases either no simple loop or at least two."""
-    return all(_simple_loop_count(dg, v) != 1 for v in range(dg.n))
+    """True when every vertex bases either no simple loop or at least two.
+
+    A simple loop leaves its base, repeats no intermediate vertex, and
+    returns to the base; parallel edges count separately, so a loop counts
+    the product of the multiplicities along it.  Every vertex on a loop
+    reaches the base, so the walk from a base enters no other vertex.  A
+    walk that enters more than WALK_BUDGET vertices raises LimitExceeded.
+    """
+    succ, mult = dg.successors, dg.edge_mult
+    for base in range(dg.n):
+        back = reachable(dg.predecessors, base, (1 << dg.n) - 1)
+        count = steps = 0
+        stack = [(base, 1 << base, 1)]
+        while stack and count < 2:
+            steps += 1
+            if steps > WALK_BUDGET:
+                raise LimitExceeded(
+                    f"condition (K) walks are capped at {WALK_BUDGET} steps per base "
+                    f"vertex; base vertex {base} of a {dg.n}-vertex dgraph went over it"
+                )
+            v, visited, weight = stack.pop()
+            if succ[v] >> base & 1:
+                count += weight * mult[v, base]
+            for t in _bits(succ[v] & back & ~visited):
+                stack.append((t, visited | 1 << t, weight * mult[v, t]))
+        if count == 1:
+            return False
+    return True
 
 
-def _strongly_connected(dg: DirectedGraph, vertices: Sequence[int]) -> bool:
-    vs = list(vertices)
-    if len(vs) <= 1:
-        return True
-    inside = set(vs)
-
-    def reach(start: int, flip: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for (s, t) in dg.edge_mult:
-                if flip:
-                    s, t = t, s
-                if s == v and t in inside and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    return reach(vs[0], False) >= inside and reach(vs[0], True) >= inside
+def strongly_connected_regular(dg: DirectedGraph) -> bool:
+    """True when each regular vertex reaches every other one through regular
+    vertices (vacuously so for at most one regular vertex)."""
+    regs = sum(1 << v for v in dg.regular_vertices)
+    start = (regs & -regs).bit_length() - 1
+    return not regs & regs - 1 or (
+        reachable(dg.successors, start, regs) == regs
+        and reachable(dg.predecessors, start, regs) == regs
+    )
 
 
 class CheckRow(NamedTuple):
@@ -629,7 +626,7 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
         ),
     ]
     cond_k = condition_k(dg)
-    scc = _strongly_connected(dg, dg.regular_vertices)
+    scc = strongly_connected_regular(dg)
     if isinstance(factor, InfiniteComp):
         checks.append(
             CheckRow("no_sink", not dg.sinks, f"sinks = {list(dg.sinks)}")

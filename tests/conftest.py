@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -78,6 +79,61 @@ def reference_decompose(g: UndirectedGraph) -> list[UndirectedGraph]:
         labels = tuple(g.labels[v] for v in comp) if g.labels is not None else None
         parts.append(UndirectedGraph.from_edges(len(comp), edges, labels))
     return parts
+
+
+def random_dgraph(rng: random.Random, max_n: int = 9) -> DirectedGraph:
+    """A digraph on 1..max_n vertices with mostly single edges, some parallel
+    ones and a few infinite emitters."""
+    n = rng.randint(1, max_n)
+    p = rng.choice((0.1, 0.2, 0.35, 0.5))
+    mult = {
+        (s, t): rng.choice((1, 1, 1, 2, 3))
+        for s in range(n)
+        for t in range(n)
+        if rng.random() < p
+    }
+    emitters = frozenset(v for v in range(n) if rng.random() < 0.1)
+    return DirectedGraph(n, mult, emitters)
+
+
+def reference_closure(n: int, edges: set[tuple[int, int]]) -> list[list[bool]]:
+    """reach[a][b] when a path of one or more edges leads from a to b
+    (Warshall's algorithm); shares no code with the library."""
+    reach = [[(a, b) in edges for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if reach[a][k]:
+                for b in range(n):
+                    reach[a][b] = reach[a][b] or reach[k][b]
+    return reach
+
+
+def reference_condition_k(dg: DirectedGraph) -> bool:
+    """Condition (K) on simple loops by brute force; shares no code with the
+    library.
+
+    The loops at a base are counted by summing, over every ordering of
+    distinct intermediate vertices, the product of the multiplicities along
+    base -> ... -> base.  Only vertices on a cycle through the base can be
+    intermediates, and the sum stops once it reaches two.
+    """
+    n, mult = dg.n, dg.edge_mult
+    reach = reference_closure(n, set(mult))
+    for base in range(n):
+        pool = [v for v in range(n) if v != base and reach[base][v] and reach[v][base]]
+        count = 0
+        for k in range(len(pool) + 1):
+            for middle in itertools.permutations(pool, k):
+                walk = (base, *middle, base)
+                product = 1
+                for edge in zip(walk, walk[1:]):
+                    product *= mult.get(edge, 0)
+                count += product
+            if count >= 2:
+                break
+        if count == 1:
+            return False
+    return True
 
 
 def random_matrix(

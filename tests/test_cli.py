@@ -18,7 +18,7 @@ import raagcs.cli as cli
 import raagcs.graphs as graphs
 from raagcs.cli import detect_format, load_golden, main
 from raagcs.graphs import EDGE_LIST_MAX
-from raagcs.kgraph import DGRAPH_MAX
+from raagcs.kgraph import DGRAPH_MAX, WALK_BUDGET
 
 try:
     import tomllib
@@ -321,6 +321,40 @@ class TestKTheory:
         assert out == ""
         assert f"capped at {DGRAPH_MAX} vertices" in err
         assert "3000000" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dvertices: 11\n0 1_0 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 2\n+0 1 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 2\n0 1 1\n1 3 1\n", "line 3: edge endpoint 3 out of range"),
+        ],
+    )
+    def test_bad_edge_fields_are_exit_2(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "ktheory", text, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_long_emitter_cycle(self, capsys):
+        # Every vertex bases exactly one simple loop, 1000 edges long.
+        text = "dvertices: 1000\n" + "".join(
+            f"{v} *\n{v} {(v + 1) % 1000} 1\n" for v in range(1000)
+        )
+        code, out, _ = run_cli(capsys, "ktheory", text)
+        assert code == 0
+        assert "condition (K): fails" in out
+
+    def test_walk_budget_is_exit_3(self, capsys):
+        # 0 <-> 1 and 1 <-> each vertex of a complete digraph on 2..13.
+        edges = ["0 1 1", "1 0 1"] + [
+            f"{a} {b} 1" for a in range(1, 14) for b in range(2, 14) if a != b
+        ] + [f"{b} 1 1" for b in range(2, 14)]
+        code, out, err = run_cli(capsys, "ktheory", "dvertices: 14\n" + "\n".join(edges))
+        assert code == 3
+        assert out == ""
+        assert f"capped at {WALK_BUDGET} steps" in err
+        assert "base vertex 0 of a 14-vertex dgraph" in err
 
 
 class TestEulerCommand:

@@ -26,8 +26,20 @@ from raagcs import (
 )
 from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
 from raagcs.graphs import LimitExceeded
-from raagcs.kgraph import DGRAPH_MAX, integer_determinant, mat_mul
-from conftest import dgraphs, random_matrix
+from raagcs.kgraph import (
+    DGRAPH_MAX,
+    WALK_BUDGET,
+    integer_determinant,
+    mat_mul,
+    strongly_connected_regular,
+)
+from conftest import (
+    dgraphs,
+    random_dgraph,
+    random_matrix,
+    reference_closure,
+    reference_condition_k,
+)
 
 p = parse_profile_spec
 
@@ -60,6 +72,61 @@ class TestDirectedGraph:
             DirectedGraph(1, infinite_emitters=frozenset({2}))
         with pytest.raises(ValueError):
             DirectedGraph(-1)
+
+
+def ladder(n: int) -> DirectedGraph:
+    """v -> v+1 and v -> v+2: acyclic, with Fibonacci(n) paths."""
+    return DirectedGraph(
+        n, {(v, v + 1): 1 for v in range(n - 1)} | {(v, v + 2): 1 for v in range(n - 2)}
+    )
+
+
+def budget_case(k: int) -> DirectedGraph:
+    """0 <-> 1 and 1 <-> every vertex of a complete digraph on k vertices.
+
+    Vertex 0 bases one simple loop, so its walk must try every simple path
+    through the complete digraph, each a dead end, before it can say so.
+    """
+    clique = range(2, k + 2)
+    mult = {(0, 1): 1, (1, 0): 1}
+    mult |= {(1, v): 1 for v in clique} | {(v, 1): 1 for v in clique}
+    mult |= {(a, b): 1 for a in clique for b in clique if a != b}
+    return DirectedGraph(k + 2, mult)
+
+
+def assert_roles_match_edge_scan(dg: DirectedGraph) -> None:
+    """Every per-vertex view against a plain scan of edge_mult."""
+    n, mult = dg.n, dg.edge_mult
+    emits = [v in dg.infinite_emitters or any(s == v for s, _ in mult) for v in range(n)]
+    regular = [v for v in range(n) if emits[v] and v not in dg.infinite_emitters]
+    assert dg.sinks == tuple(v for v in range(n) if not emits[v])
+    assert dg.regular_vertices == tuple(regular)
+    for v in range(n):
+        assert dg.emits(v) == emits[v]
+        assert dg.out_edges(v) == sorted((t, m) for (s, t), m in mult.items() if s == v)
+    inside = {(s, t) for s, t in mult if s in regular and t in regular}
+    reach = reference_closure(n, inside)
+    connected = all(a == b or reach[a][b] for a in regular for b in regular)
+    assert strongly_connected_regular(dg) == connected
+
+
+class TestOneOutEdgeView:
+    def test_seeded_digraphs_match_edge_scan(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            assert_roles_match_edge_scan(random_dgraph(rng))
+
+    @given(dgraphs())
+    @settings(max_examples=80, deadline=None)
+    def test_any_digraph_matches_edge_scan(self, dg):
+        assert_roles_match_edge_scan(dg)
+
+    def test_strong_connectivity_of_regular_vertices(self):
+        # The sink 2 and the emitter 3 are outside: only 0 <-> 1 counts.
+        dg = DirectedGraph(4, {(0, 1): 1, (1, 0): 1, (1, 2): 1, (3, 0): 1}, frozenset({3}))
+        assert strongly_connected_regular(dg)
+        assert not strongly_connected_regular(DirectedGraph(2, {(0, 1): 1, (1, 1): 1}))
+        assert strongly_connected_regular(DirectedGraph(1))
 
 
 class TestDgraphFormat:
@@ -113,6 +180,29 @@ class TestDgraphFormat:
     def test_digits_int_refuses_are_parse_errors(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_dgraph(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dvertices: 11\n0 1_0 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 2\n+0 1 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 3\n\u0660 \u0661 \u0662\n", "line 2: non-integer or negative field"),
+            ("dvertices: 2\n-1 0 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 2\n0 1 1\n0 2 1\n", "line 3: edge endpoint 2 out of range for 2"),
+            ("dvertices: 2\n00 0001 1\n1 01 1\n2 0 1\n", "line 4: edge endpoint 2 out"),
+            ("dvertices: 2\n0 " + "9" * 5000 + " 1\n", "line 2: edge endpoint of 5000 digits"),
+            ("dvertices: 2\n0 1 " + "9" * 5000 + "\n", "line 2: multiplicity too long"),
+            ("dvertices: 2\n0 0 1\n5 *\n", "line 3: infinite emitter 5 out of range"),
+        ],
+    )
+    def test_edge_fields_are_checked_on_their_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_dgraph(text)
+
+    def test_padded_fields_are_vertices(self):
+        dg = parse_dgraph("dvertices: 2\n00 0001 02\n001 *\n")
+        assert dg.edge_mult == {(0, 1): 2}
+        assert dg.infinite_emitters == frozenset({1})
 
     def test_declared_count_at_the_cap(self):
         assert parse_dgraph(f"dvertices: {DGRAPH_MAX}\n").n == DGRAPH_MAX
@@ -309,6 +399,37 @@ class TestConditionK:
         # bases only the 2-cycle: simple loops cannot revisit vertex 0.
         assert not condition_k(DirectedGraph(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1}))
         assert condition_k(DirectedGraph(2, {(0, 0): 2, (0, 1): 1, (1, 0): 2}))
+
+    def test_seeded_digraphs_match_brute_force(self):
+        rng = random.Random(43)
+        answers = []
+        for _ in range(2000):
+            dg = random_dgraph(rng)
+            answers.append(condition_k(dg))
+            assert answers[-1] == reference_condition_k(dg), dg
+        assert 0.2 < sum(answers) / len(answers) < 0.8
+
+    @given(dgraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_any_digraph_matches_brute_force(self, dg):
+        assert condition_k(dg) == reference_condition_k(dg)
+
+    def test_long_acyclic_ladder(self):
+        # Fibonacci(1000) paths, none of them back to its start.
+        assert condition_k(ladder(1000))
+
+    def test_long_cycles(self):
+        cycle = {(v, (v + 1) % 1000): 1 for v in range(1000)}
+        assert not condition_k(DirectedGraph(1000, cycle, frozenset(range(1000))))
+        assert condition_k(DirectedGraph(300, {(v, (v + 1) % 300): 2 for v in range(300)}))
+
+    def test_walk_budget(self):
+        assert not condition_k(budget_case(5))
+        with pytest.raises(LimitExceeded) as info:
+            condition_k(budget_case(12))
+        message = str(info.value)
+        assert f"capped at {WALK_BUDGET} steps per base vertex" in message
+        assert "base vertex 0 of a 14-vertex dgraph" in message
 
 
 class TestRealize:
