@@ -317,14 +317,22 @@ def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
     return profile_of_classes(classify_component(comp) for comp in decompose(g))
 
 
-_PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?\d+)\])$")
+_PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?[0-9]+)\])$")
+
+
+def _decimal(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() takes
+        raise ParseError(f"{what} too long: {len(digits.lstrip('-'))} digits") from None
 
 
 def parse_profile_spec(text: str) -> InvariantProfile:
     """Parse ``t=<count>;o=<count>;N[<k>]=<count>`` profile syntax.
 
-    Counts are decimal digits or ``inf``; keys may appear at most once and
-    in any order; omitted keys are zero.
+    Counts and the k of ``N[k]`` are ASCII decimal digits (counts may also
+    be ``inf``); keys may appear at most once and in any order; omitted
+    keys are zero.
     """
     t: ExtNat | None = None
     o: ExtNat | None = None
@@ -343,14 +351,14 @@ def parse_profile_spec(text: str) -> InvariantProfile:
             raise ParseError(f"unknown profile key {key!r}")
         if value == "inf":
             count = OMEGA
-        elif value.isdigit():
-            count = ExtNat(int(value))
-        elif value.startswith("-") and value[1:].isdigit():
+        elif value.isascii() and value.isdigit():
+            count = ExtNat(_decimal(value, "count"))
+        elif value.startswith("-") and value[1:].isascii() and value[1:].isdigit():
             raise ParseError(f"negative count in {token!r}")
         else:
             raise ParseError(f"malformed count {value!r} in {token!r}")
         if m.group(1) is not None:
-            k = int(m.group(1))
+            k = _decimal(m.group(1), "key N[k]")
             if k in N:
                 raise ParseError(f"duplicate key N[{k}]")
             N[k] = count

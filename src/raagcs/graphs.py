@@ -126,7 +126,8 @@ def empty_graph(n: int) -> UndirectedGraph:
 
 
 def complete_graph(n: int) -> UndirectedGraph:
-    return complement(empty_graph(n))
+    full = (1 << n) - 1
+    return UndirectedGraph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def cycle_graph(n: int) -> UndirectedGraph:

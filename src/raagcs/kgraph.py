@@ -31,15 +31,11 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, reachable
+from .graphs import ParseError, _bits, parse_count_header, reachable
 
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
 DGRAPH_MAX = 1_000
-# Most vertices the condition (K) walk may enter from one base vertex.  The
-# walk is exact but can be factorial: a base with one simple loop and many
-# dead ends that still reach it visits every simple path through them.
-WALK_BUDGET = 1_000_000
 
 
 class NotRealizable(Exception):
@@ -455,33 +451,30 @@ def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
     )
 
 
-def condition_k(dg: DirectedGraph) -> bool:
-    """True when every vertex bases either no simple loop or at least two.
+def _strong_component(dg: DirectedGraph, v: int, allowed: int) -> int:
+    """The mask of v's strongly connected component among ``allowed``: what v
+    reaches through vertices of ``allowed`` that reach v."""
+    return reachable(dg.successors, v, reachable(dg.predecessors, v, allowed))
 
-    A simple loop leaves its base, repeats no intermediate vertex, and
-    returns to the base; parallel edges count separately, so a loop counts
-    the product of the multiplicities along it.  Every vertex on a loop
-    reaches the base, so the walk from a base enters no other vertex.  A
-    walk that enters more than WALK_BUDGET vertices raises LimitExceeded.
+
+def condition_k(dg: DirectedGraph) -> bool:
+    """Condition (K): no vertex is the base of exactly one return path.
+
+    A return path leaves its base and comes back, repeating any vertex but
+    the base; parallel edges count separately (Kumjian, Pask, Raeburn and
+    Renault, J. Funct. Anal. 144, 1997).  Every vertex on a return path
+    lies in the base's strongly connected component, so a vertex bases
+    exactly one iff its component is a single cycle: each member has one
+    out-edge, counted with multiplicity, inside the component.  Components
+    are taken by least unseen vertex; a path between two members of one
+    never leaves it, so searching only unseen vertices is exact.
     """
     succ, mult = dg.successors, dg.edge_mult
-    for base in range(dg.n):
-        back = reachable(dg.predecessors, base, (1 << dg.n) - 1)
-        count = steps = 0
-        stack = [(base, 1 << base, 1)]
-        while stack and count < 2:
-            steps += 1
-            if steps > WALK_BUDGET:
-                raise LimitExceeded(
-                    f"condition (K) walks are capped at {WALK_BUDGET} steps per base "
-                    f"vertex; base vertex {base} of a {dg.n}-vertex dgraph went over it"
-                )
-            v, visited, weight = stack.pop()
-            if succ[v] >> base & 1:
-                count += weight * mult[v, base]
-            for t in _bits(succ[v] & back & ~visited):
-                stack.append((t, visited | 1 << t, weight * mult[v, t]))
-        if count == 1:
+    unseen = (1 << dg.n) - 1
+    while unseen:
+        comp = _strong_component(dg, (unseen & -unseen).bit_length() - 1, unseen)
+        unseen ^= comp
+        if all(sum(mult[u, t] for t in _bits(succ[u] & comp)) == 1 for u in _bits(comp)):
             return False
     return True
 
@@ -491,10 +484,7 @@ def strongly_connected_regular(dg: DirectedGraph) -> bool:
     vertices (vacuously so for at most one regular vertex)."""
     regs = sum(1 << v for v in dg.regular_vertices)
     start = (regs & -regs).bit_length() - 1
-    return not regs & regs - 1 or (
-        reachable(dg.successors, start, regs) == regs
-        and reachable(dg.predecessors, start, regs) == regs
-    )
+    return not regs & regs - 1 or _strong_component(dg, start, regs) == regs
 
 
 class CheckRow(NamedTuple):
@@ -601,7 +591,7 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
     K1 zero.  Finite-component and Toeplitz targets additionally need a
     unique well-placed sink whose class is chi times the unit and whose
     quotient graph carries the right K-theory; the infinite-component
-    target needs no sink plus at least two loops at every looped vertex.
+    target needs no sink plus condition (K).
     """
     factor = _single_factor(p)
     if factor is None:
@@ -635,9 +625,9 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
             CheckRow(
                 "condition_k",
                 cond_k,
-                "every looped vertex bases at least two simple loops"
+                "no strongly connected component is a single cycle"
                 if cond_k
-                else "some vertex bases exactly one simple loop",
+                else "some strongly connected component is a single cycle",
             )
         )
         return RealizationReport(target, tuple(checks), cond_k, scc)

@@ -180,6 +180,28 @@ class TestProfileSpecParsing:
         with pytest.raises(ParseError, match="unknown profile key"):
             p("N[a]=1")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("t=\u00b2", "malformed count"),
+            ("t=\u0663", "malformed count"),
+            ("o=-\u00b2", "malformed count"),
+            ("N[\u0663]=1", "unknown profile key"),
+            ("N[-\u0663]=1", "unknown profile key"),
+        ],
+    )
+    def test_non_ascii_digits_are_refused(self, spec, message):
+        with pytest.raises(ParseError, match=message):
+            p(spec)
+
+    def test_counts_and_keys_longer_than_int_takes(self):
+        with pytest.raises(ParseError, match="count too long: 5000 digits"):
+            p("t=" + "1" * 5000)
+        with pytest.raises(ParseError, match=r"key N\[k\] too long: 5000 digits"):
+            p("N[-" + "9" * 5000 + "]=1")
+        big = InvariantProfile.make(N={int("9" * 4000): int("1" * 4000)})
+        assert p("N[" + "9" * 4000 + "]=" + "1" * 4000) == big
+
 
 class TestDecompose:
     def test_complete_graph_splits_into_singletons(self):

@@ -18,7 +18,7 @@ import raagcs.cli as cli
 import raagcs.graphs as graphs
 from raagcs.cli import detect_format, load_golden, main
 from raagcs.graphs import EDGE_LIST_MAX
-from raagcs.kgraph import DGRAPH_MAX, WALK_BUDGET
+from raagcs.kgraph import DGRAPH_MAX
 
 try:
     import tomllib
@@ -143,6 +143,22 @@ class TestClassify:
     def test_bad_profile_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "q=1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("t=\u00b2", "malformed count '\u00b2'"),
+            ("N[\u0663]=1", "unknown profile key"),
+            ("t=" + "1" * 5000, "count too long: 5000 digits"),
+            ("N[" + "9" * 5000 + "]=1", "key N[k] too long: 5000 digits"),
+        ],
+        ids=["superscript-count", "arabic-indic-key", "long-count", "long-key"],
+    )
+    def test_profile_digits_are_ascii_and_int_sized(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "classify", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestCompare:
@@ -337,7 +353,8 @@ class TestKTheory:
         assert err.startswith(f"error: {message}")
 
     def test_long_emitter_cycle(self, capsys):
-        # Every vertex bases exactly one simple loop, 1000 edges long.
+        # One strongly connected component, a single 1000-edge cycle: every
+        # vertex bases exactly one return path.
         text = "dvertices: 1000\n" + "".join(
             f"{v} *\n{v} {(v + 1) % 1000} 1\n" for v in range(1000)
         )
@@ -345,16 +362,16 @@ class TestKTheory:
         assert code == 0
         assert "condition (K): fails" in out
 
-    def test_walk_budget_is_exit_3(self, capsys):
-        # 0 <-> 1 and 1 <-> each vertex of a complete digraph on 2..13.
+    def test_dense_component_is_exit_0(self, capsys):
+        # 0 <-> 1 and 1 <-> each vertex of a complete digraph on 2..13: one
+        # strongly connected component with factorially many simple paths.
         edges = ["0 1 1", "1 0 1"] + [
             f"{a} {b} 1" for a in range(1, 14) for b in range(2, 14) if a != b
         ] + [f"{b} 1 1" for b in range(2, 14)]
         code, out, err = run_cli(capsys, "ktheory", "dvertices: 14\n" + "\n".join(edges))
-        assert code == 3
-        assert out == ""
-        assert f"capped at {WALK_BUDGET} steps" in err
-        assert "base vertex 0 of a 14-vertex dgraph" in err
+        assert code == 0
+        assert err == ""
+        assert "condition (K): holds" in out
 
 
 class TestEulerCommand:
