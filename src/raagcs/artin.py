@@ -318,13 +318,16 @@ def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
 
 
 _PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?[0-9]+)\])$")
+# Most digits of a profile count or N[k] key: 300 under Python's default
+# 4 300-digit int-string limit, so every 1 + |k| and every sum of counts prints.
+PROFILE_DIGITS_MAX = 4_000
 
 
 def _decimal(digits: str, what: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() takes
-        raise ParseError(f"{what} too long: {len(digits.lstrip('-'))} digits") from None
+    size = len(digits.lstrip("-"))
+    if size > PROFILE_DIGITS_MAX:
+        raise ParseError(f"{what} too long: {size} digits, over {PROFILE_DIGITS_MAX}")
+    return int(digits)
 
 
 def parse_profile_spec(text: str) -> InvariantProfile:

@@ -113,17 +113,6 @@ def detect_format(text: str) -> str:
     return "edges"
 
 
-def _parse_undirected(text: str, fmt: str) -> tuple[UndirectedGraph, list[str]]:
-    """Parse an undirected graph, collecting parser warnings as strings."""
-    with warnings_module.catch_warnings(record=True) as caught:
-        warnings_module.simplefilter("always")
-        if fmt == "graph6":
-            g = parse_graph6(text)
-        else:
-            g = parse_edge_list(text)
-    return g, [str(w.message) for w in caught]
-
-
 ParsedInput = tuple[str, Any, list[str]]
 
 
@@ -140,8 +129,10 @@ def _parse_input(text: str, fmt: str | None, allowed: Sequence[str]) -> ParsedIn
         return "profile", parse_profile_spec(text), []
     if fmt == "dgraph":
         return "dgraph", parse_dgraph(text), []
-    g, warns = _parse_undirected(text, fmt)
-    return "graph", g, warns
+    with warnings_module.catch_warnings(record=True) as caught:
+        warnings_module.simplefilter("always")
+        g = parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
+    return "graph", g, [str(w.message) for w in caught]
 
 
 # ------------------------------------------------------------ JSON atoms

@@ -1,22 +1,22 @@
 """Undirected simple graphs: parsing, canonical labeling, enumeration.
 
 Vertices are always the integers 0..n-1.  Textual inputs may use arbitrary
-whitespace-free names; these are renumbered in first-appearance order and
-kept only as display labels, never consulted by any algorithm.  Two text
-encodings are supported: a line-oriented edge list and the graph6 small
-format (at most 62 vertices).
+whitespace-free names; these are renumbered in first-appearance order.  Two
+text encodings are supported: a line-oriented edge list and graph6, with
+the one-byte header below 63 vertices and the ``~`` header from 63 on.
 """
 
 from __future__ import annotations
 
+import base64
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-GRAPH6_MAX = 62
-# Largest vertex count an edge list may declare or name; a ``vertices:``
-# header is otherwise taken on trust and sizes every later step.
+# Largest vertex count an undirected input may declare or name: a
+# ``vertices:`` header or a graph6 header is otherwise taken on trust and
+# sizes every later step.
 EDGE_LIST_MAX = 10_000
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
@@ -49,7 +49,6 @@ class UndirectedGraph:
 
     n: int
     adjacency: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n, adj = self.n, self.adjacency
@@ -81,15 +80,9 @@ class UndirectedGraph:
         # bits in all than twice those above, no bit below lacks a mirror.
         if 2 * above != sum(row.bit_count() for row in adj):
             raise ValueError("adjacency is not symmetric")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels must name every vertex")
 
     @staticmethod
-    def from_edges(
-        n: int,
-        pairs: Iterable[tuple[int, int]],
-        labels: tuple[str, ...] | None = None,
-    ) -> "UndirectedGraph":
+    def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "UndirectedGraph":
         """Build a graph from unordered pairs; repeats and either order are fine."""
         adj = [0] * n
         for u, v in pairs:
@@ -99,7 +92,7 @@ class UndirectedGraph:
                 raise ValueError(f"bad edge ({u}, {v}) in a graph on {n} vertices")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return UndirectedGraph(n, tuple(adj), labels)
+        return UndirectedGraph(n, tuple(adj))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -187,16 +180,14 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     raises ``LimitExceeded`` before any vertex is allocated.
     """
     index: dict[str, int] = {}
-    labels: list[str] = []
     adj: list[int] = []
     declared: int | None = None
-    body_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("vertices:"):
-            if body_seen:
+            if index:
                 raise ParseError("vertices: header must precede all edges", lineno)
             if declared is not None:
                 raise ParseError("repeated vertices: header", lineno)
@@ -214,13 +205,12 @@ def parse_edge_list(text: str) -> UndirectedGraph:
             raise ParseError(f"self-loop at {a!r}", lineno)
         for name in (a, b):
             if name not in index:
-                if len(labels) == EDGE_LIST_MAX:
+                if len(index) == EDGE_LIST_MAX:
                     raise LimitExceeded(
                         f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
                         f"got {EDGE_LIST_MAX + 1} labels by line {lineno}"
                     )
-                index[name] = len(labels)
-                labels.append(name)
+                index[name] = len(index)
                 adj.append(0)
         u, v = index[a], index[b]
         if adj[u] >> v & 1:
@@ -232,84 +222,92 @@ def parse_edge_list(text: str) -> UndirectedGraph:
         else:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        body_seen = True
-    n = max(declared or 0, len(labels))
-    if declared is not None and declared < len(labels):
+    if declared is not None and declared < len(index):
         warnings.warn(
-            f"vertices: {declared} is below the {len(labels)} labeled vertices",
+            f"vertices: {declared} is below the {len(index)} labeled vertices",
             UserWarning,
             stacklevel=2,
         )
-    while len(labels) < n:
-        labels.append(str(len(labels)))
-    adj.extend([0] * (n - len(adj)))
-    return UndirectedGraph(n, tuple(adj), tuple(labels) if labels else None)
+    adj.extend([0] * ((declared or 0) - len(adj)))
+    return UndirectedGraph(len(adj), tuple(adj))
 
 
-def _pack_graph6(n: int, bits: list[int]) -> bytes:
-    out = bytearray([n + 63])
-    acc = 0
-    width = 0
-    for bit in bits:
-        acc = acc << 1 | bit
-        width += 1
-        if width == 6:
-            out.append(acc + 63)
-            acc = 0
-            width = 0
-    if width:
-        out.append((acc << (6 - width)) + 63)
-    return bytes(out)
+# graph6 writes sextet v as the byte 63 + v and base64 as the v-th letter of
+# its alphabet, so base64 packs the bits and a translation maps the letters.
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, _G6)
+_FROM_G6 = bytes.maketrans(_G6, _B64)
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack6(bits: str) -> bytes:
+    """graph6 bytes of a '0'/'1' string, zero-padded to whole sextets."""
+    pad = -len(bits) % 24  # whole base64 quanta, so no '=' padding
+    raw = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    return base64.b64encode(raw)[: -(-len(bits) // 6)].translate(_TO_G6)
+
+
+def _unpack6(data: bytes) -> str:
+    """The 6 * len(data) bits of graph6 bytes, as a '0'/'1' string."""
+    bad = data.translate(None, _G6)
+    if bad:
+        raise ParseError(f"invalid graph6 byte {bad[0]}")
+    raw = base64.b64decode(data.translate(_FROM_G6) + b"A" * (-len(data) % 4))
+    return format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[: 6 * len(data)]
 
 
 def parse_graph6(text: str | bytes) -> UndirectedGraph:
-    """Decode one small-format graph6 record (n <= 62)."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    data = data.strip()
-    if data.startswith(b">>graph6<<"):
-        data = data[len(b">>graph6<<") :]
+    """Decode one graph6 record with either header; a vertex count above
+    ``EDGE_LIST_MAX`` raises ``LimitExceeded`` before the body is read."""
+    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    data = raw.strip().removeprefix(b">>graph6<<")
     if not data:
         raise ParseError("empty graph6 input")
-    if data[0] == 126:
-        raise ParseError("large-format graph6 (leading '~') is not supported")
-    n = data[0] - 63
-    if not 0 <= n <= GRAPH6_MAX:
-        raise ParseError(f"invalid graph6 header byte {data[0]}")
-    body = data[1:]
+    if data[0] == 126:  # '~': the count follows in 3 sextets, or 6 after '~~'
+        start, width = (2, 6) if data[1:2] == b"~" else (1, 3)
+        head = data[start : start + width]
+        if len(head) < width:
+            raise ParseError(f"graph6 header needs {width} bytes after {'~' * start!r}")
+        n = int(_unpack6(head), 2)
+        body = data[start + width :]
+    else:
+        n, body = data[0] - 63, data[1:]
+        if not 0 <= n < 63:
+            raise ParseError(f"invalid graph6 header byte {data[0]}")
+    if n > EDGE_LIST_MAX:
+        raise LimitExceeded(
+            f"graph6 inputs are capped at {EDGE_LIST_MAX} vertices, got n = {n}"
+        )
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")
-    bits = []
-    for ch in body:
-        if not 63 <= ch <= 126:
-            raise ParseError(f"invalid graph6 byte {ch}")
-        value = ch - 63
-        bits.extend(value >> shift & 1 for shift in range(5, -1, -1))
+    bits = _unpack6(body)
     adj = [0] * n
-    k = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            k += 1
+        # Column v lists u = 0..v-1; reversed, it is the low v bits of row v.
+        low = int(bits[v * (v - 1) // 2 : v * (v + 1) // 2][::-1], 2)
+        adj[v] |= low
+        for u in _bits(low):
+            adj[u] |= 1 << v
     return UndirectedGraph(n, tuple(adj))
 
 
 def to_graph6(g: UndirectedGraph) -> str:
-    """Encode with the identity vertex order (no canonicalization)."""
-    if g.n > GRAPH6_MAX:
-        raise LimitExceeded(f"graph6 caps at {GRAPH6_MAX} vertices, got {g.n}")
-    adj = g.adjacency
-    bits = [adj[v] >> u & 1 for v in range(g.n) for u in range(v)]
-    return _pack_graph6(g.n, bits).decode("ascii")
+    """Encode with the identity vertex order (no canonicalization).
+
+    The ``~`` header holds n < 258 048; a record that large would pass 4 GB.
+    """
+    n, adj = g.n, g.adjacency
+    head = bytes([63 + n]) if n < 63 else b"~" + _pack6(format(n, "018b"))
+    bits = "".join(format(adj[v] & ~(-1 << v), f"0{v}b")[::-1] for v in range(1, n))
+    return (head + _pack6(bits)).decode("ascii")
 
 
 def complement(g: UndirectedGraph) -> UndirectedGraph:
     full = (1 << g.n) - 1
-    return UndirectedGraph(
-        g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.adjacency)), g.labels
-    )
+    rows = tuple(full ^ row ^ 1 << v for v, row in enumerate(g.adjacency))
+    return UndirectedGraph(g.n, rows)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -378,8 +376,7 @@ def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedG
     pos = {v: i for i, v in enumerate(vs)}
     adj = g.adjacency
     rows = tuple(sum(1 << pos[u] for u in _bits(adj[v] & keep)) for v in vs)
-    labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
-    return UndirectedGraph(len(vs), rows, labels)
+    return UndirectedGraph(len(vs), rows)
 
 
 def _twins(adj: tuple[int, ...], u: int, w: int) -> bool:
@@ -446,7 +443,8 @@ def canonical_form(g: UndirectedGraph) -> bytes:
         raise LimitExceeded(
             f"canonical_form is capped at n <= {CANONICAL_MAX}, got {g.n}"
         )
-    return _pack_graph6(g.n, _minimal_bits(g.adjacency, g.n))
+    bits = bytes(_minimal_bits(g.adjacency, g.n)).translate(_ASCII_BITS).decode()
+    return bytes([63 + g.n]) + _pack6(bits)
 
 
 def enumerate_graphs(n: int, limit: int = ENUMERATE_MAX) -> list[UndirectedGraph]:

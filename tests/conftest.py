@@ -75,9 +75,41 @@ def reference_decompose(g: UndirectedGraph) -> list[UndirectedGraph]:
     for comp in reference_components(g.n, missing):
         pos = {v: i for i, v in enumerate(comp)}
         edges = frozenset((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos)
-        labels = tuple(g.labels[v] for v in comp) if g.labels is not None else None
-        parts.append(UndirectedGraph.from_edges(len(comp), edges, labels))
+        parts.append(UndirectedGraph.from_edges(len(comp), edges))
     return parts
+
+
+def reference_graph6(n: int, edges: set[tuple[int, int]]) -> str:
+    """graph6 by the letter of McKay's format description (n < 258048), one
+    bit at a time; shares no code with the library."""
+    if n < 63:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    bits = [int((i, j) in edges) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = ""
+    for i in range(0, len(bits), 6):
+        value = 0
+        for bit in bits[i : i + 6]:
+            value = 2 * value + bit
+        body += chr(63 + value)
+    return head + body
+
+
+def reference_parse_graph6(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """Vertex count and edge set of a graph6 record (n < 258048), decoded
+    bit by bit; shares no code with the library."""
+    values = [ord(ch) - 63 for ch in text]
+    if values[0] != 63:
+        n, rest = values[0], values[1:]
+    else:
+        n, rest = 0, values[4:]
+        for value in values[1:4]:
+            n = 64 * n + value
+    bits = [value >> (5 - k) & 1 for value in rest for k in range(6)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return n, {pair for pair, bit in zip(pairs, bits) if bit}
 
 
 def random_dgraph(rng: random.Random, max_n: int = 9) -> DirectedGraph:

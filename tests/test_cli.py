@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import shutil
@@ -16,8 +17,9 @@ from jsonschema import Draft202012Validator
 import raagcs.artin as artin
 import raagcs.cli as cli
 import raagcs.graphs as graphs
+from raagcs.artin import PROFILE_DIGITS_MAX
 from raagcs.cli import detect_format, load_golden, main
-from raagcs.graphs import EDGE_LIST_MAX
+from raagcs.graphs import EDGE_LIST_MAX, cycle_graph, to_graph6
 from raagcs.kgraph import DGRAPH_MAX
 
 try:
@@ -161,6 +163,37 @@ class TestClassify:
         assert err.startswith(f"error: {message}")
 
 
+TOP = "9" * PROFILE_DIGITS_MAX
+
+
+class TestProfileDigitCap:
+    """Counts and keys at the digit cap name and sum without an int-string
+    error; one digit more is a parse error."""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "spec, realize_code",
+        [(f"N[{TOP}]=1", 0), (f"N[1]={TOP};N[-1]={TOP}", 5), (f"t={TOP};N[-1]={TOP}", 4)],
+        ids=["key", "folded-sum", "total"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "compare", "realize"])
+    def test_at_the_cap(self, capsys, command, spec, realize_code, mode):
+        sides = [spec, spec] if command == "compare" else [spec]
+        code, out, err = run_cli(capsys, command, *sides, *mode)
+        assert code == (realize_code if command == "realize" else 0)
+        assert (out == "") == (code != 0)
+        assert (err == "") == (code == 0)
+
+    @pytest.mark.parametrize("spec", [f"N[{TOP}9]=1", f"N[1]={TOP}9;N[-1]={TOP}"])
+    @pytest.mark.parametrize("command", ["classify", "compare", "realize"])
+    def test_one_digit_over_the_cap(self, capsys, command, spec):
+        sides = [spec, spec] if command == "compare" else [spec]
+        code, out, err = run_cli(capsys, command, *sides)
+        assert code == 2
+        assert out == ""
+        assert f"too long: {PROFILE_DIGITS_MAX + 1} digits" in err
+
+
 class TestCompare:
     def test_sign_pair_json(self, capsys, validator):
         code, doc = run_json(capsys, validator, "compare", "N[-1]=1", "N[1]=1", "--json")
@@ -190,6 +223,11 @@ class TestEnumerate:
         assert doc["graph_count"] == 11
         assert doc["graph_count"] == len(doc["classes"])
         assert doc["distinct_normal_forms"] == 9
+
+    def test_six_vertex_census_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "6", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("a52efe06dbc28da6")
 
     def test_zero_vertex_census(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "0", "--json")
@@ -418,7 +456,9 @@ class TestDecomposeCommand:
         assert code == 0
         assert doc["profile"] == {"t": 0, "o": 0, "N": [[-3, 1], [-1, 1]]}
 
-    def test_large_sparse_input_never_builds_the_complement(self, capsys, monkeypatch, tmp_path):
+    def test_large_sparse_input_never_builds_the_complement(
+        self, capsys, validator, monkeypatch, tmp_path
+    ):
         def refuse(g):
             raise AssertionError("complement built on the decomposition path")
 
@@ -427,11 +467,34 @@ class TestDecomposeCommand:
                 monkeypatch.setattr(module, "complement", refuse)
         path = tmp_path / "sparse.txt"
         path.write_text("".join(f"{i} {(i * 7 + 1) % 2000}\n" for i in range(2000)))
-        code, _, err = run_cli(capsys, "decompose", str(path), "--json")
-        # The document echoes every graph as graph6, which stops at 62
-        # vertices; that limit is reached only after the decomposition.
+        code, doc = run_json(capsys, validator, "decompose", str(path), "--json")
+        assert code == 0
+        # Too sparse for any vertex to see all others: the complement is connected.
+        assert [c["vertices"] for c in doc["components"]] == [list(range(2000))]
+        assert doc["input"]["graph6"].startswith("~?^O")
+
+
+class TestLargeGraphs:
+    def test_hundred_vertex_cycle_edge_list(self, capsys, validator):
+        text = "\n".join(f"v{i} v{(i + 1) % 100}" for i in range(100)) + "\n"
+        code, doc = run_json(capsys, validator, "classify", text, "--json")
+        assert code == 0
+        assert doc["profile"] == {"t": 0, "o": 0, "N": [[1, 1]]}
+        assert doc["input"]["graph6"].startswith("~?@c")  # ~ and 100 in 18 bits
+
+    def test_long_header_graph6_token_is_detected(self, capsys, validator):
+        token = to_graph6(cycle_graph(70))
+        assert detect_format(token) == "graph6"
+        code, doc = run_json(capsys, validator, "classify", token, "--json")
+        assert code == 0
+        assert doc["input"]["n"] == 70 and doc["input"]["graph6"] == token
+
+    def test_graph6_count_over_the_cap_is_exit_3(self, capsys):
+        # ~ then 10 001 in three sextets, and no body.
+        code, out, err = run_cli(capsys, "euler", "~A[P")
         assert code == 3
-        assert "graph6 caps at 62 vertices, got 2000" in err
+        assert out == ""
+        assert f"capped at {EDGE_LIST_MAX} vertices, got n = {EDGE_LIST_MAX + 1}" in err
 
 
 class TestEdgeListCap:

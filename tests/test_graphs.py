@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import warnings
@@ -33,7 +34,15 @@ from raagcs import (
     to_graph6,
 )
 from raagcs.graphs import EDGE_LIST_MAX
-from conftest import graphs, random_graph, random_join, reference_components
+from conftest import (
+    graphs,
+    random_graph,
+    random_join,
+    reference_components,
+    reference_graph6,
+    reference_parse_graph6,
+    sparse_graph,
+)
 
 
 class TestUndirectedGraph:
@@ -78,9 +87,10 @@ class TestUndirectedGraph:
         assert g.edge_count == len(g.edges)
         assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in g.edges)
 
-    def test_rejects_wrong_label_count(self):
-        with pytest.raises(ValueError):
-            UndirectedGraph.from_edges(2, frozenset(), labels=("a",))
+    def test_fields_are_n_and_adjacency(self):
+        assert [f.name for f in dataclasses.fields(UndirectedGraph)] == ["n", "adjacency"]
+        with pytest.raises(TypeError):
+            UndirectedGraph.from_edges(2, frozenset(), labels=("a", "b"))
 
     def test_from_edges_normalizes_order(self):
         g = UndirectedGraph.from_edges(3, [(2, 0), (1, 2)])
@@ -118,7 +128,6 @@ class TestEdgeListParsing:
         g = parse_edge_list("a b\nb c\n")
         assert g.n == 3
         assert g.edges == frozenset({(0, 1), (1, 2)})
-        assert g.labels == ("a", "b", "c")
 
     def test_comments_and_blank_lines(self):
         g = parse_edge_list("# leading comment\n\na b  # trailing\n")
@@ -127,7 +136,6 @@ class TestEdgeListParsing:
     def test_vertices_header_adds_isolated_vertices(self):
         g = parse_edge_list("vertices: 5\na b\n")
         assert g.n == 5
-        assert g.labels == ("a", "b", "2", "3", "4")
 
     def test_header_only(self):
         g = parse_edge_list("vertices: 3")
@@ -135,7 +143,7 @@ class TestEdgeListParsing:
 
     def test_empty_input_is_empty_graph(self):
         g = parse_edge_list("")
-        assert g.n == 0 and g.labels is None
+        assert g.n == 0
 
     def test_duplicate_edge_warns_once_each(self):
         with pytest.warns(DuplicateEdgeWarning):
@@ -201,8 +209,7 @@ class TestEdgeListParsing:
             normalised = {
                 (min(index[u], index[v]), max(index[u], index[v])) for u, v in lines
             }
-            assert g.labels[: len(index)] == tuple(str(v) for v in index)
-            assert g == UndirectedGraph.from_edges(n, sorted(normalised), g.labels)
+            assert g == UndirectedGraph.from_edges(n, sorted(normalised))
             assert len(caught) == len(lines) - len(normalised)
             assert all(issubclass(w.category, DuplicateEdgeWarning) for w in caught)
 
@@ -235,14 +242,49 @@ class TestGraph6:
     def test_errors(self):
         with pytest.raises(ParseError, match="empty"):
             parse_graph6("")
-        with pytest.raises(ParseError, match="large-format"):
-            parse_graph6("~??")
+        with pytest.raises(ParseError, match="needs 3 bytes after '~'"):
+            parse_graph6("~?")
         with pytest.raises(ParseError, match="needs"):
             parse_graph6("A")
         with pytest.raises(ParseError, match="invalid graph6 byte"):
             parse_graph6("A" + chr(30))
-        with pytest.raises(LimitExceeded):
-            to_graph6(empty_graph(63))
+        with pytest.raises(ParseError, match="invalid graph6 header byte 62"):
+            parse_graph6(">")
+        with pytest.raises(ParseError, match="invalid graph6 byte 30"):
+            parse_graph6("~??" + chr(30))
+
+    def test_large_header(self):
+        # 63 in 18 bits is the sextets 0, 0, 63.
+        text = to_graph6(empty_graph(63))
+        assert text == "~??~" + "?" * ((63 * 62 // 2 + 5) // 6)
+        assert parse_graph6(text) == empty_graph(63)
+        # The long header may also carry a count below 63.
+        assert parse_graph6("~??D??") == empty_graph(5)
+
+    @pytest.mark.parametrize(
+        "record, n", [("~B?x", 12345), ("~B?x" + chr(1) * 9, 12345), ("~~?ZZZZZ", 460175067)]
+    )
+    def test_count_over_the_cap_is_refused_before_the_body(self, record, n):
+        # McKay's examples N(12345) and N(460175067).  No body follows the
+        # header (or a malformed one), so reading it first would be a ParseError.
+        with pytest.raises(LimitExceeded, match=f"capped at {EDGE_LIST_MAX} vertices, got n = {n}$"):
+            parse_graph6(record)
+
+    def test_matches_a_bitwise_reference_both_ways(self):
+        rng = random.Random(61)
+        sizes = [62, 63, 64, 0, 1, 2, 70] + [rng.randint(0, 70) for _ in range(200)]
+        for n in sizes:
+            g = random_graph(rng, n, rng.choice((0.05, 0.3, 0.5, 0.9)))
+            text = reference_graph6(n, set(g.edges))
+            assert to_graph6(g) == text
+            assert parse_graph6(text) == g
+            assert reference_parse_graph6(text) == (n, set(g.edges))
+
+    def test_sparse_2000_vertex_round_trip(self):
+        g = sparse_graph(random.Random(62), 2000)
+        text = to_graph6(g)
+        assert text.startswith("~?^O") and len(text) == 4 + (2000 * 1999 // 2 + 5) // 6
+        assert parse_graph6(text) == g
 
     @given(graphs())
     def test_round_trip(self, g):
@@ -255,9 +297,11 @@ class TestStructure:
         assert complement(complement(g)) == g
         assert complement(complete_graph(4)) == empty_graph(4)
 
-    def test_complement_keeps_labels(self):
-        g = parse_edge_list("a b\n")
-        assert complement(g).labels == ("a", "b")
+    def test_named_vertices_compare_by_masks(self):
+        # Input names only number the vertices; equal masks are equal graphs.
+        assert parse_edge_list("a b\n") == parse_graph6("A_")
+        assert complement(parse_edge_list("a b\n")) == parse_graph6("A?")
+        assert induced_subgraph(parse_edge_list("a b\nb c\n"), [0, 2]) == empty_graph(2)
 
     def test_connected_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
@@ -270,10 +314,6 @@ class TestStructure:
         sub = induced_subgraph(g, [1, 2, 4])
         assert sub.n == 3
         assert sub.edges == frozenset({(0, 1)})
-
-    def test_induced_subgraph_keeps_labels(self):
-        g = parse_edge_list("a b\nb c\n")
-        assert induced_subgraph(g, [0, 2]).labels == ("a", "c")
 
     def test_induced_subgraph_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
