@@ -297,11 +297,12 @@ class TestStructure:
         assert complement(complement(g)) == g
         assert complement(complete_graph(4)) == empty_graph(4)
 
-    def test_named_vertices_compare_by_masks(self):
-        # Input names only number the vertices; equal masks are equal graphs.
-        assert parse_edge_list("a b\n") == parse_graph6("A_")
+    def test_complement_keeps_labels(self):
+        # Labels number the vertices in order of first appearance (a, b, c
+        # are 0, 1, 2), and the complement keeps that numbering.
+        g = parse_edge_list("a b\nb c\n")
+        assert complement(g).edges == frozenset({(0, 2)})
         assert complement(parse_edge_list("a b\n")) == parse_graph6("A?")
-        assert induced_subgraph(parse_edge_list("a b\nb c\n"), [0, 2]) == empty_graph(2)
 
     def test_connected_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
@@ -314,6 +315,12 @@ class TestStructure:
         sub = induced_subgraph(g, [1, 2, 4])
         assert sub.n == 3
         assert sub.edges == frozenset({(0, 1)})
+
+    def test_induced_subgraph_keeps_labels(self):
+        # The chosen vertices keep their label order: b, c become 0, 1.
+        g = parse_edge_list("a b\nb c\n")
+        assert induced_subgraph(g, [2, 1]) == parse_graph6("A_")
+        assert induced_subgraph(g, [0, 2]) == empty_graph(2)
 
     def test_induced_subgraph_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
