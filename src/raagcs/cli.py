@@ -5,9 +5,14 @@ decompose.  Inputs are taken from a file, from stdin with ``-``, or
 inline; the format is auto-detected (profile specs contain ``=``,
 directed graphs start with ``dvertices:``, a lone printable token is
 graph6, anything else is an edge list) and can be forced with
-``--format``.  JSON output is byte-stable: keys are sorted, maps with
-integer keys are emitted as sorted pairs, and two runs on the same input
-produce identical bytes.
+``--format``.
+
+Each ``cmd_*`` returns one JSON document and prints nothing.  ``main``
+prints that document, as JSON or through the subcommand's ``_text_*``
+renderer, which reads the document alone, and picks the exit code.  The
+argument parser is built once per process, at import.  JSON output is
+byte-stable: keys are sorted, maps with integer keys are emitted as
+sorted pairs, and two runs on the same input produce identical bytes.
 
 Exit codes: 0 success, 2 parse error, 3 limit violation, 4 not
 realizable, 5 realization not implemented, 6 golden-data mismatch.
@@ -20,15 +25,14 @@ import json
 import os
 import sys
 import warnings as warnings_module
+from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .artin import (
     AbGroup,
-    AlgebraNormalForm,
     ExtNat,
-    FiniteExt,
     InvariantProfile,
     algebra_name,
     classify_component,
@@ -71,6 +75,7 @@ from .kgraph import (
 )
 
 GOLDEN_RESOURCE = "five_vertex_census.json"
+GRAPH_OR_PROFILE = ("graph6", "edges", "profile")
 
 
 # ---------------------------------------------------------------- input
@@ -85,6 +90,8 @@ def _read_input(token: str) -> str:
     try:
         if path.is_file():
             return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{token}: not UTF-8 text ({exc.reason})") from None
     except OSError:
         pass
     return token
@@ -116,8 +123,10 @@ def detect_format(text: str) -> str:
 ParsedInput = tuple[str, Any, list[str]]
 
 
-def _parse_input(text: str, fmt: str | None, allowed: Sequence[str]) -> ParsedInput:
-    """Parse one CLI input into ('graph'|'profile'|'dgraph', value, warnings)."""
+def _parse_input(token: str, fmt: str | None, allowed: Sequence[str]) -> ParsedInput:
+    """Read and parse one CLI input argument into
+    ('graph'|'profile'|'dgraph', value, warnings)."""
+    text = _read_input(token)
     fmt = fmt or detect_format(text)
     if fmt not in allowed:
         raise ParseError(
@@ -135,58 +144,41 @@ def _parse_input(text: str, fmt: str | None, allowed: Sequence[str]) -> ParsedIn
     return "graph", g, [str(w.message) for w in caught]
 
 
-# ------------------------------------------------------------ JSON atoms
+# ----------------------------------------------------------------- JSON
 
 
-def _extnat_json(x: ExtNat) -> int | str:
-    return x.value if x.is_finite else "inf"
-
-
-def _group_json(g: AbGroup | None) -> dict[str, Any] | None:
-    if g is None:
-        return None
-    return {
-        "free_rank": g.free_rank,
-        "torsion": list(g.torsion),
-        "name": str(g),
-    }
-
-
-def _profile_json(p: InvariantProfile) -> dict[str, Any]:
-    return {
-        "t": _extnat_json(p.t),
-        "o": _extnat_json(p.o),
-        "N": [[k, _extnat_json(c)] for k, c in p.N],
-    }
-
-
-def _nf_json(nf: AlgebraNormalForm) -> dict[str, Any]:
-    return {
-        "t": _extnat_json(nf.t),
-        "z": _extnat_json(nf.z),
-        "M": [[n, _extnat_json(c)] for n, c in nf.M],
-        "omin": nf.omin,
-        "parity": nf.parity,
-    }
+def _json(x: Any) -> Any:
+    """Map a library result to JSON: dataclasses and named tuples become
+    objects keyed by field name, ExtNat an int or "inf", AbGroup
+    {free_rank, torsion, name}, other tuples lists."""
+    if isinstance(x, ExtNat):
+        return x.value if x.is_finite else "inf"
+    if isinstance(x, AbGroup):
+        return {"free_rank": x.free_rank, "torsion": list(x.torsion), "name": str(x)}
+    if isinstance(x, tuple):
+        if hasattr(x, "_fields"):
+            return {f: _json(v) for f, v in zip(x._fields, x)}
+        return [_json(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def _verdict_json(p: InvariantProfile) -> dict[str, Any]:
     """The keys every verdict carries: profile, normal forms and name."""
     return {
-        "profile": _profile_json(p),
-        "normal_form": _nf_json(normal_form(p)),
-        "stable_normal_form": _nf_json(stable_normal_form(p)),
+        "profile": _json(p),
+        "normal_form": _json(normal_form(p)),
+        "stable_normal_form": _json(stable_normal_form(p)),
         "algebra_name": algebra_name(p),
     }
 
 
 def _algebra_kind_json(p: InvariantProfile) -> dict[str, Any]:
     """Graph-algebra and semiprojectivity verdicts (classify, census rows)."""
-    ga = is_graph_algebra(p)
-    sp = semiprojectivity(p)
     return {
-        "graph_algebra": {"value": ga.value, "clause": ga.clause},
-        "semiprojectivity": {"verdict": sp.verdict, "clause": sp.clause},
+        "graph_algebra": _json(is_graph_algebra(p)),
+        "semiprojectivity": _json(semiprojectivity(p)),
     }
 
 
@@ -205,31 +197,6 @@ def profile_spec_string(p: InvariantProfile) -> str:
     return ";".join(parts)
 
 
-# ----------------------------------------------------------- text atoms
-
-
-def _yesno(b: bool) -> str:
-    return "yes" if b else "no"
-
-
-def profile_human(p: InvariantProfile) -> str:
-    parts = []
-    if p.t != 0:
-        parts.append(f"t = {p.t}")
-    if p.o != 0:
-        parts.append(f"o = {p.o}")
-    parts.extend(f"N_{k} = {c}" for k, c in p.N)
-    return ", ".join(parts) if parts else "all counts zero"
-
-
-def nf_human(nf: AlgebraNormalForm) -> str:
-    parts = [f"t = {nf.t}", f"z = {nf.z}"]
-    parts.extend(f"M_{n} = {c}" for n, c in nf.M)
-    parts.append(f"omin = {nf.omin}")
-    parts.append(f"parity = {nf.parity}")
-    return ", ".join(parts)
-
-
 def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     return {
         "kind": "graph",
@@ -239,76 +206,74 @@ def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     }
 
 
-def _profile_echo(p: InvariantProfile) -> dict[str, Any]:
-    return {"kind": "profile", "spec": profile_spec_string(p)}
-
-
 def _to_profile(kind: str, value: Any) -> InvariantProfile:
     return value if kind == "profile" else invariant_profile(value)
 
 
 def _echo(kind: str, value: Any) -> dict[str, Any]:
     if kind == "profile":
-        return _profile_echo(value)
+        return {"kind": "profile", "spec": profile_spec_string(value)}
     return _graph_echo(value)
+
+
+# ----------------------------------------------------------------- text
+
+
+def _yesno(b: bool) -> str:
+    return "yes" if b else "no"
+
+
+def profile_human(p: dict[str, Any]) -> str:
+    """Text form of a profile's JSON object."""
+    parts = []
+    if p["t"] != 0:
+        parts.append(f"t = {p['t']}")
+    if p["o"] != 0:
+        parts.append(f"o = {p['o']}")
+    parts.extend(f"N_{k} = {c}" for k, c in p["N"])
+    return ", ".join(parts) if parts else "all counts zero"
+
+
+def nf_human(nf: dict[str, Any]) -> str:
+    """Text form of a normal form's JSON object."""
+    parts = [f"t = {nf['t']}", f"z = {nf['z']}"]
+    parts.extend(f"M_{n} = {c}" for n, c in nf["M"])
+    parts.append(f"omin = {nf['omin']}")
+    parts.append(f"parity = {nf['parity']}")
+    return ", ".join(parts)
 
 
 # ------------------------------------------------------------- classify
 
 
-def _classification_doc(
-    kind: str, value: Any, warns: list[str]
-) -> dict[str, Any]:
+def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+    kind, value, warns = _parse_input(args.input, args.format, GRAPH_OR_PROFILE)
     p = _to_profile(kind, value)
     if p.is_empty:
         warns = warns + [
             "empty profile: no components, the algebra is the scalars C"
         ]
-    prim = prim_space(p)
-    components = []
-    ktheory_rows = []
-    for cls, count in profile_components(p):
-        chi = cls.chi if isinstance(cls, FiniteExt) else None
-        components.append(
-            {
-                "class": component_name(cls),
-                "count": _extnat_json(count),
-                "chi": chi,
-            }
-        )
-        row = component_ktheory(cls)
-        ktheory_rows.append(
-            {
-                "component": row.component,
-                "label": row.label,
-                "k0_full": _group_json(row.k0_full),
-                "unit_is_generator": row.unit_is_generator,
-                "k1_full": _group_json(row.k1_full),
-                "index_value": row.index_value,
-                "k0_ideal": _group_json(row.k0_ideal),
-                "k0_quotient": _group_json(row.k0_quotient),
-                "k1_quotient": _group_json(row.k1_quotient),
-            }
-        )
+    parts = profile_components(p)
     return {
         "document": "classification",
         "input": _echo(kind, value),
         "warnings": warns,
         **_verdict_json(p),
         **_algebra_kind_json(p),
-        "components": components,
-        "ktheory": ktheory_rows,
-        "prim_space": {
-            "toeplitz_components": _extnat_json(prim.toeplitz_components),
-            "two_point_components": _extnat_json(prim.two_point_components),
-            "one_point_components": _extnat_json(prim.one_point_components),
-            "is_product": prim.is_product,
-            "minimal_nonzero_ideals": _extnat_json(prim.minimal_nonzero_ideals),
-        },
+        "components": [
+            {
+                "class": component_name(cls),
+                "count": _json(count),
+                "chi": getattr(cls, "chi", None),
+            }
+            for cls, count in parts
+        ],
+        "ktheory": [_json(component_ktheory(cls)) for cls, _ in parts],
+        "prim_space": _json(prim_space(p)),
     }
 
 
-def _print_classification_human(doc: dict[str, Any], p: InvariantProfile) -> None:
+def _text_classify(doc: dict[str, Any]) -> None:
     echo = doc["input"]
     if echo["kind"] == "graph":
         print(f"input: graph on {echo['n']} vertices, {len(echo['edges'])} edges ({echo['graph6']})")
@@ -316,10 +281,10 @@ def _print_classification_human(doc: dict[str, Any], p: InvariantProfile) -> Non
         print(f"input: profile {echo['spec'] or '(all zero)'}")
     for w in doc["warnings"]:
         print(f"warning: {w}")
-    print(f"profile: {profile_human(p)}")
+    print(f"profile: {profile_human(doc['profile'])}")
     print(f"algebra: {doc['algebra_name']}")
-    print(f"normal form: {nf_human(normal_form(p))}")
-    print(f"stable normal form: {nf_human(stable_normal_form(p))}")
+    print(f"normal form: {nf_human(doc['normal_form'])}")
+    print(f"stable normal form: {nf_human(doc['stable_normal_form'])}")
     prim = doc["prim_space"]
     print(
         "prim space: "
@@ -347,59 +312,28 @@ def _print_classification_human(doc: dict[str, Any], p: InvariantProfile) -> Non
     print(f"semiprojectivity: {sp['verdict']}{clause}")
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    kind, value, warns = _parse_input(
-        _read_input(args.input), args.format, ("graph6", "edges", "profile")
-    )
-    doc = _classification_doc(kind, value, warns)
-    if args.json:
-        print(_dumps(doc), end="")
-    else:
-        _print_classification_human(doc, _to_profile(kind, value))
-    return 0
-
-
 # -------------------------------------------------------------- compare
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
     sides = []
     for token in (args.left, args.right):
-        kind, value, warns = _parse_input(
-            _read_input(token), args.format, ("graph6", "edges", "profile")
-        )
-        p = _to_profile(kind, value)
-        sides.append((kind, value, p, warns))
-    p1, p2 = sides[0][2], sides[1][2]
-    verdict = compare(p1, p2)
-    doc = {
-        "document": "comparison",
-        "left": _compare_side(*sides[0]),
-        "right": _compare_side(*sides[1]),
-        "isomorphic": verdict.isomorphic,
-        "stably_isomorphic": verdict.stably_isomorphic,
-        "failed_conditions": list(verdict.failed_conditions),
-    }
-    if args.json:
-        print(_dumps(doc), end="")
-        return 0
-    for tag, p in (("left", p1), ("right", p2)):
-        print(f"{tag}: {profile_human(p)}  ->  {algebra_name(p)}")
-    print(f"isomorphic: {_yesno(verdict.isomorphic)}")
-    print(f"stably isomorphic: {_yesno(verdict.stably_isomorphic)}")
-    failed = ", ".join(verdict.failed_conditions) or "none"
+        kind, value, warns = _parse_input(token, args.format, GRAPH_OR_PROFILE)
+        sides.append((kind, value, warns, _to_profile(kind, value)))
+    doc = {"document": "comparison", **_json(compare(sides[0][3], sides[1][3]))}
+    for tag, (kind, value, warns, p) in zip(("left", "right"), sides):
+        doc[tag] = {"input": _echo(kind, value), "warnings": warns, **_verdict_json(p)}
+    return doc
+
+
+def _text_compare(doc: dict[str, Any]) -> None:
+    for tag in ("left", "right"):
+        side = doc[tag]
+        print(f"{tag}: {profile_human(side['profile'])}  ->  {side['algebra_name']}")
+    print(f"isomorphic: {_yesno(doc['isomorphic'])}")
+    print(f"stably isomorphic: {_yesno(doc['stably_isomorphic'])}")
+    failed = ", ".join(doc["failed_conditions"]) or "none"
     print(f"failed conditions: {failed}")
-    return 0
-
-
-def _compare_side(
-    kind: str, value: Any, p: InvariantProfile, warns: list[str]
-) -> dict[str, Any]:
-    return {
-        "input": _echo(kind, value),
-        "warnings": warns,
-        **_verdict_json(p),
-    }
 
 
 # ------------------------------------------------------------ enumerate
@@ -487,22 +421,22 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
     return problems
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    rows = build_census(args.n, limit=_census_cap(args))
-    doc = _census_doc(args.n, rows)
-    failed = False
+def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
+    if args.n < 0:
+        raise ParseError(f"n must be nonnegative, got {args.n}")
+    doc = _census_doc(args.n, build_census(args.n, limit=_census_cap(args)))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())
         doc["golden"] = {"match": not problems, "mismatches": problems}
-        failed = bool(problems)
-    if args.json:
-        print(_dumps(doc), end="")
-        return 6 if failed else 0
-    print(f"n = {args.n}: {doc['graph_count']} isomorphism classes")
+    return doc
+
+
+def _text_enumerate(doc: dict[str, Any]) -> None:
+    print(f"n = {doc['n']}: {doc['graph_count']} isomorphism classes")
     header = f"{'graph6':<10}{'edges':<7}{'profile':<30}{'algebra':<24}{'GA':<5}semiprojectivity"
     print(header)
-    for row in rows:
-        prof = profile_human(_profile_from_json(row["profile"]))
+    for row in doc["classes"]:
+        prof = profile_human(row["profile"])
         ga = _yesno(row["graph_algebra"]["value"])
         sp = row["semiprojectivity"]["verdict"]
         print(
@@ -519,55 +453,33 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"{tally['NotSemiprojective']} NotSemiprojective, "
         f"{tally['Unknown']} Unknown"
     )
-    if args.golden:
+    if "golden" in doc:
         for problem in doc["golden"]["mismatches"]:
             print(f"golden mismatch: {problem}")
         print(f"golden: {'match' if doc['golden']['match'] else 'MISMATCH'}")
-    return 6 if failed else 0
-
-
-def _profile_from_json(blob: dict[str, Any]) -> InvariantProfile:
-    return InvariantProfile.make(
-        t=blob["t"], o=blob["o"], N={k: c for k, c in blob["N"]}
-    )
 
 
 # -------------------------------------------------------------- realize
 
 
-def _verification_json(report: Any) -> dict[str, Any]:
-    return {
-        "target": report.target,
-        "passed": report.passed,
-        "condition_k": report.condition_k,
-        "strongly_connected_regular": report.strongly_connected_regular,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail}
-            for c in report.checks
-        ],
-    }
-
-
-def cmd_realize(args: argparse.Namespace) -> int:
-    kind, value, warns = _parse_input(
-        _read_input(args.input), args.format, ("graph6", "edges", "profile")
-    )
+def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
+    kind, value, warns = _parse_input(args.input, args.format, GRAPH_OR_PROFILE)
     p = _to_profile(kind, value)
     dg = realize(p)
     report = verify_realization(dg, p)
-    doc = {
+    return {
         "document": "realization",
         "input": _echo(kind, value),
         "warnings": warns,
-        "profile": _profile_json(p),
+        "profile": _json(p),
         "algebra_name": algebra_name(p),
         "target": report.target,
         "dgraph": format_dgraph(dg),
-        "verification": _verification_json(report),
+        "verification": {**_json(report), "passed": report.passed},
     }
-    if args.json:
-        print(_dumps(doc), end="")
-        return 0
+
+
+def _text_realize(doc: dict[str, Any]) -> None:
     print(f"target: {doc['target']} (algebra {doc['algebra_name']})")
     print(doc["dgraph"], end="")
     for check in doc["verification"]["checks"]:
@@ -575,14 +487,13 @@ def cmd_realize(args: argparse.Namespace) -> int:
         print(f"  [{mark}] {check['name']}: {check['detail']}")
     print(f"condition (K): {'holds' if doc['verification']['condition_k'] else 'fails'}")
     print(f"verification: {'passed' if doc['verification']['passed'] else 'FAILED'}")
-    return 0
 
 
 # -------------------------------------------------------------- ktheory
 
 
-def cmd_ktheory(args: argparse.Namespace) -> int:
-    _, dg, _ = _parse_input(_read_input(args.input), args.format, ("dgraph",))
+def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
+    _, dg, _ = _parse_input(args.input, args.format, ("dgraph",))
     warns: list[str] = []
     extension = None
     if len(dg.sinks) == 1:
@@ -595,19 +506,19 @@ def cmd_ktheory(args: argparse.Namespace) -> int:
                 "sink": six.sink,
                 "kappa": six.kappa,
                 "unit_is_generator": six.unit_is_generator,
-                "quotient_k0": _group_json(six.quotient.k0),
-                "quotient_k1": _group_json(six.quotient.k1),
+                "quotient_k0": _json(six.quotient.k0),
+                "quotient_k1": _json(six.quotient.k1),
             }
     rep = graph_ktheory(dg) if extension is None else six.full
-    doc = {
+    return {
         "document": "ktheory",
         "dgraph": format_dgraph(dg),
         "n": dg.n,
         "regular_vertices": list(rep.regular_vertices),
         "sinks": list(dg.sinks),
         "infinite_emitters": sorted(dg.infinite_emitters),
-        "k0": _group_json(rep.k0),
-        "k1": _group_json(rep.k1),
+        "k0": _json(rep.k0),
+        "k1": _json(rep.k1),
         "unit_class": list(rep.unit_class),
         "unit_is_generator": rep.unit_is_generator,
         "vertex_classes": [list(c) for c in rep.vertex_class],
@@ -615,65 +526,60 @@ def cmd_ktheory(args: argparse.Namespace) -> int:
         "sink_extension": extension,
         "warnings": warns,
     }
-    if args.json:
-        print(_dumps(doc), end="")
-        return 0
+
+
+def _text_ktheory(doc: dict[str, Any]) -> None:
     print(
-        f"directed graph: {dg.n} vertices, "
+        f"directed graph: {doc['n']} vertices, "
         f"regular {doc['regular_vertices']}, sinks {doc['sinks']}, "
         f"infinite emitters {doc['infinite_emitters']}"
     )
-    for w in warns:
+    for w in doc["warnings"]:
         print(f"warning: {w}")
     print(f"K0 = {doc['k0']['name']}, K1 = {doc['k1']['name']}")
     print(f"unit class: {doc['unit_class']} (generator: {_yesno(doc['unit_is_generator'])})")
     for v, cls in enumerate(doc["vertex_classes"]):
         print(f"  [{v}] -> {cls}")
     print(f"condition (K): {'holds' if doc['condition_k'] else 'fails'}")
+    extension = doc["sink_extension"]
     if extension is not None:
         print(
             f"sink {extension['sink']}: kappa = {extension['kappa']}, "
             f"quotient K0 = {extension['quotient_k0']['name']}, "
             f"quotient K1 = {extension['quotient_k1']['name']}"
         )
-    return 0
 
 
 # ---------------------------------------------------------------- euler
 
 
-def cmd_euler(args: argparse.Namespace) -> int:
-    _, g, warns = _parse_input(
-        _read_input(args.input), args.format, ("graph6", "edges")
-    )
+def cmd_euler(args: argparse.Namespace) -> dict[str, Any]:
+    _, g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
     vec = clique_counts(g)
-    doc = {
+    return {
         "document": "euler",
         "input": _graph_echo(g),
         "warnings": warns,
         "clique_counts": list(vec.counts),
         "euler_characteristic": vec.euler(),
     }
-    if args.json:
-        print(_dumps(doc), end="")
-        return 0
-    for w in warns:
+
+
+def _text_euler(doc: dict[str, Any]) -> None:
+    for w in doc["warnings"]:
         print(f"warning: {w}")
     counts = ", ".join(
-        f"c_{k} = {c}" for k, c in enumerate(vec.counts, start=1) if c
+        f"c_{k} = {c}" for k, c in enumerate(doc["clique_counts"], start=1) if c
     )
     print(f"clique counts: {counts or 'none'}")
-    print(f"euler characteristic: {vec.euler()}")
-    return 0
+    print(f"euler characteristic: {doc['euler_characteristic']}")
 
 
 # ------------------------------------------------------------ decompose
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    _, g, warns = _parse_input(
-        _read_input(args.input), args.format, ("graph6", "edges")
-    )
+def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
+    _, g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
     classes = []
     components = []
     for vertices in complement_components(g):
@@ -685,32 +591,31 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "vertices": list(vertices),
                 "graph6": to_graph6(sub),
                 "class": component_name(cls),
-                "chi": cls.chi if isinstance(cls, FiniteExt) else None,
+                "chi": getattr(cls, "chi", None),
             }
         )
     p = profile_of_classes(classes)
-    doc = {
+    return {
         "document": "decomposition",
         "input": _graph_echo(g),
         "warnings": warns,
         "components": components,
-        "profile": _profile_json(p),
+        "profile": _json(p),
         "algebra_name": algebra_name(p),
     }
-    if args.json:
-        print(_dumps(doc), end="")
-        return 0
-    for w in warns:
+
+
+def _text_decompose(doc: dict[str, Any]) -> None:
+    for w in doc["warnings"]:
         print(f"warning: {w}")
-    print(f"co-irreducible components: {len(components)}")
-    for i, comp in enumerate(components):
+    print(f"co-irreducible components: {len(doc['components'])}")
+    for i, comp in enumerate(doc["components"]):
         chi = "" if comp["chi"] is None else f", chi = {comp['chi']}"
         print(
             f"  [{i}] vertices {comp['vertices']} -> {comp['class']}{chi}"
         )
-    print(f"profile: {profile_human(p)}")
-    print(f"algebra: {algebra_name(p)}")
-    return 0
+    print(f"profile: {profile_human(doc['profile'])}")
+    print(f"algebra: {doc['algebra_name']}")
 
 
 # ----------------------------------------------------------------- main
@@ -746,13 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="full verdict for a graph or profile")
     c.add_argument("input", help="file, inline text, or - for stdin")
     common(c)
-    c.set_defaults(func=cmd_classify)
+    c.set_defaults(func=cmd_classify, text=_text_classify)
 
     c = sub.add_parser("compare", help="decide isomorphism of two inputs")
     c.add_argument("left")
     c.add_argument("right")
     common(c)
-    c.set_defaults(func=cmd_compare)
+    c.set_defaults(func=cmd_compare, text=_text_compare)
 
     c = sub.add_parser(
         "enumerate", help="classify all isomorphism classes on n vertices"
@@ -769,37 +674,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the result against the shipped five-vertex table",
     )
     common(c, with_format=False)
-    c.set_defaults(func=cmd_enumerate)
+    c.set_defaults(func=cmd_enumerate, text=_text_enumerate)
 
     c = sub.add_parser(
         "realize", help="directed graph realizing a profile's algebra"
     )
     c.add_argument("input")
     common(c)
-    c.set_defaults(func=cmd_realize)
+    c.set_defaults(func=cmd_realize, text=_text_realize)
 
     c = sub.add_parser("ktheory", help="K-theory of a directed graph")
     c.add_argument("input")
     common(c)
-    c.set_defaults(func=cmd_ktheory)
+    c.set_defaults(func=cmd_ktheory, text=_text_ktheory)
 
     c = sub.add_parser("euler", help="clique counts and Euler characteristic")
     c.add_argument("input")
     common(c)
-    c.set_defaults(func=cmd_euler)
+    c.set_defaults(func=cmd_euler, text=_text_euler)
 
     c = sub.add_parser("decompose", help="co-irreducible components")
     c.add_argument("input")
     common(c)
-    c.set_defaults(func=cmd_decompose)
+    c.set_defaults(func=cmd_decompose, text=_text_decompose)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -812,6 +720,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RealizationNotImplemented as exc:
         print(f"not implemented: {exc}", file=sys.stderr)
         return 5
+    if args.json:
+        print(_dumps(doc), end="")
+    else:
+        args.text(doc)
+    return 6 if "golden" in doc and not doc["golden"]["match"] else 0
 
 
 def run() -> None:

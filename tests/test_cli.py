@@ -596,3 +596,20 @@ class TestGoldenData:
         fields = {"profile", "algebra_name", "graph_algebra", "semiprojectivity"}
         for row in golden["classes"].values():
             assert set(row) == fields
+
+
+class TestInputErrors:
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe0\x00 \x001\x00\n\x00")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_negative_enumerate_is_exit_2(self, capsys, mode):
+        code, out, err = run_cli(capsys, "enumerate", "-1", *mode)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be nonnegative, got -1\n"
