@@ -337,26 +337,27 @@ def reachable(rows: Sequence[int], start: int, allowed: int, flip: int = 0) -> i
     return allowed ^ unseen
 
 
-def _components(g: UndirectedGraph, flip: int) -> tuple[tuple[int, ...], ...]:
-    """Components of the graph whose rows are ``adjacency[v] ^ flip``: each
-    is the ``reachable`` set of the least vertex no earlier one holds."""
-    unseen = (1 << g.n) - 1
+def _components(rows: Sequence[int], allowed: int, flip: int = 0) -> list[int]:
+    """Masks of the components of the graph on ``allowed`` whose rows are
+    ``rows[v] ^ flip``: each is the ``reachable`` set of the least vertex no
+    earlier one holds."""
     out = []
-    while unseen:
-        comp = reachable(g.adjacency, (unseen & -unseen).bit_length() - 1, unseen, flip)
-        unseen ^= comp
-        out.append(tuple(_bits(comp)))
-    return tuple(out)
+    while allowed:
+        comp = reachable(rows, (allowed & -allowed).bit_length() - 1, allowed, flip)
+        allowed ^= comp
+        out.append(comp)
+    return out
 
 
 def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted vertex tuples, ordered by least vertex."""
-    return _components(g, 0)
+    return tuple(tuple(_bits(c)) for c in _components(g.adjacency, (1 << g.n) - 1))
 
 
 def complement_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Components of the complement, as ``connected_components`` orders them."""
-    return _components(g, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return tuple(tuple(_bits(c)) for c in _components(g.adjacency, full, full))
 
 
 def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedGraph:

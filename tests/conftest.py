@@ -42,9 +42,39 @@ def random_join(rng: random.Random, n: int) -> UndirectedGraph:
         edges.update(g.edges)
         edges.update((g.n + u, g.n + v) for u, v in block.edges)
         g = UndirectedGraph.from_edges(g.n + size, frozenset(edges))
-    perm = list(range(n))
+    return relabelled(rng, g)
+
+
+def relabelled(rng: random.Random, g: UndirectedGraph) -> UndirectedGraph:
+    """g under a seeded random permutation of its vertices."""
+    perm = list(range(g.n))
     rng.shuffle(perm)
-    return UndirectedGraph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    return UndirectedGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def reference_clique_counts(g: UndirectedGraph) -> tuple[int, ...]:
+    """counts[k-1] is the number of k-cliques, found one at a time by ordered
+    extension; shares no code with ``raagcs.euler``.
+
+    A clique is only ever grown through vertices larger than its current
+    maximum that neighbour every member, so each clique is reached once and
+    the cost grows with the answer.
+    """
+    adj = g.adjacency
+    counts = [0] * g.n
+
+    def grow(allowed: int, size: int) -> None:
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            counts[size] += 1
+            nxt = allowed & adj[low.bit_length() - 1] & -(low << 1)
+            if nxt:
+                grow(nxt, size + 1)
+
+    grow((1 << g.n) - 1, 0)
+    return tuple(counts)
 
 
 def reference_components(n: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:

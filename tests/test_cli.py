@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from importlib import metadata, resources
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,18 @@ from jsonschema import Draft202012Validator
 
 import raagcs.artin as artin
 import raagcs.cli as cli
+import raagcs.euler as euler
 import raagcs.graphs as graphs
 from raagcs.artin import PROFILE_DIGITS_MAX
 from raagcs.cli import detect_format, load_golden, main
-from raagcs.graphs import EDGE_LIST_MAX, cycle_graph, to_graph6
+from raagcs.graphs import (
+    EDGE_LIST_MAX,
+    complement,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    to_graph6,
+)
 from raagcs.kgraph import DGRAPH_MAX
 
 try:
@@ -424,6 +433,33 @@ class TestEulerCommand:
         assert code == 0
         assert "c_1 = 3, c_2 = 3, c_3 = 1" in out
         assert "euler characteristic: 0" in out
+
+    def test_complete_graph_on_forty_vertices(self, capsys, validator):
+        # 2^40 cliques: listing them one at a time never finished.
+        code, doc = run_json(capsys, validator, "euler", to_graph6(complete_graph(40)), "--json")
+        assert code == 0
+        assert doc["clique_counts"] == [comb(40, k) for k in range(1, 41)]
+        assert doc["euler_characteristic"] == 0
+
+    def test_complement_of_sixty_vertex_path(self, capsys, validator):
+        counts = [comb(61 - k, k) for k in range(1, 61)]
+        code, doc = run_json(
+            capsys, validator, "euler", to_graph6(complement(path_graph(60))), "--json"
+        )
+        assert code == 0
+        assert doc["clique_counts"] == counts
+        chi = 1 + sum((-1) ** k * c for k, c in enumerate(counts, 1))
+        assert doc["euler_characteristic"] == chi
+
+    def test_over_the_work_budget_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(euler, "CLIQUE_BUDGET", 1000)
+        code, out, err = run_cli(capsys, "euler", to_graph6(complement(path_graph(60))), "--json")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: clique counting is capped at 1000 steps of work, "
+            "exceeded on n = 60 with 1711 edges\n"
+        )
 
 
 class TestDecomposeCommand:
