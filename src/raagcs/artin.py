@@ -576,42 +576,25 @@ class KTheorySixTerm:
 
 
 def component_ktheory(c: ComponentClass) -> KTheorySixTerm:
-    name = component_name(c)
+    """The one statement of a component's K-theory; a singleton is the
+    chi = 0 extension under its own label."""
     if isinstance(c, InfiniteComp):
-        return KTheorySixTerm(
-            component=name,
-            label="simple, no extension row",
-            k0_full=Z_GROUP,
-            unit_is_generator=True,
-            k1_full=TRIVIAL_GROUP,
-            index_value=None,
-            k0_ideal=None,
-            k0_quotient=None,
-            k1_quotient=None,
-        )
-    if isinstance(c, Toeplitz):
-        return KTheorySixTerm(
-            component=name,
-            label="standard Toeplitz extension",
-            k0_full=Z_GROUP,
-            unit_is_generator=True,
-            k1_full=TRIVIAL_GROUP,
-            index_value=0,
-            k0_ideal=Z_GROUP,
-            k0_quotient=Z_GROUP,
-            k1_quotient=Z_GROUP,
-        )
-    chi = c.chi
+        label, chi = "simple, no extension row", None
+    elif isinstance(c, Toeplitz):
+        label, chi = "standard Toeplitz extension", 0
+    else:
+        label, chi = "extension of a Kirchberg algebra by the compacts", c.chi
+    extension = chi is not None
     return KTheorySixTerm(
-        component=name,
-        label="extension of a Kirchberg algebra by the compacts",
+        component=component_name(c),
+        label=label,
         k0_full=Z_GROUP,
         unit_is_generator=True,
         k1_full=TRIVIAL_GROUP,
         index_value=chi,
-        k0_ideal=Z_GROUP,
-        k0_quotient=AbGroup.cyclic(chi),
-        k1_quotient=Z_GROUP if chi == 0 else TRIVIAL_GROUP,
+        k0_ideal=Z_GROUP if extension else None,
+        k0_quotient=AbGroup.cyclic(chi) if extension else None,
+        k1_quotient=(Z_GROUP if chi == 0 else TRIVIAL_GROUP) if extension else None,
     )
 
 

@@ -105,14 +105,11 @@ def _graph6_like(token: str) -> bool:
 def detect_format(text: str) -> str:
     """Guess among profile, dgraph, graph6, and edges."""
     stripped = text.strip()
-    for raw in stripped.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dvertices:"):
-            return "dgraph"
-        break
-    if "=" in stripped:
+    lines = [raw.split("#", 1)[0].strip() for raw in stripped.splitlines()]
+    lines = [line for line in lines if line]
+    if lines and lines[0].startswith("dvertices:"):
+        return "dgraph"
+    if any("=" in line for line in lines):
         return "profile"
     tokens = stripped.split()
     if len(tokens) == 1 and _graph6_like(tokens[0]):
@@ -505,7 +502,7 @@ def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
             extension = {
                 "sink": six.sink,
                 "kappa": six.kappa,
-                "unit_is_generator": six.unit_is_generator,
+                "unit_is_generator": six.full.unit_is_generator,
                 "quotient_k0": _json(six.quotient.k0),
                 "quotient_k1": _json(six.quotient.k1),
             }

@@ -22,11 +22,11 @@ from typing import Mapping, NamedTuple, Sequence
 from .artin import (
     AbGroup,
     ComponentClass,
-    FiniteExt,
     InfiniteComp,
     InvariantProfile,
     Toeplitz,
     Z_GROUP,
+    component_ktheory,
     component_name,
     is_graph_algebra,
     profile_components,
@@ -181,10 +181,6 @@ def format_dgraph(dg: DirectedGraph) -> str:
 Matrix = list[list[int]]
 
 
-def _identity(k: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
@@ -249,95 +245,81 @@ class SmithDecomposition:
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Gcd-driven reduction with the pivot chosen as the smallest nonzero
-    entry in absolute value; exact big integers throughout, so
-    intermediate growth can never overflow.  Deterministic for a fixed
-    input.
+    Gcd-driven reduction with the pivot chosen as the first smallest
+    nonzero entry in absolute value, row by row; the scan stops at a unit,
+    which nothing beats, and a unit pivot skips the divisibility pass.
+    Exact big integers throughout, so intermediate growth can never
+    overflow.  Deterministic for a fixed input.
+
+    The work is done on the bordered matrix [[A, I_m], [I_n, 0]]: a row
+    operation on its first m rows carries U along with A, a column
+    operation on its first n columns carries V, and D, U and V are its
+    blocks at the end.  The zero block is never touched, so it is not kept.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("matrix rows must have equal length")
-    M = [list(map(int, row)) for row in a]
-    U = _identity(m)
-    V = _identity(n)
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+    W = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    W += [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_row(src: int, dst: int, factor: int) -> None:
         if factor:
-            Ms, Md = M[src], M[dst]
-            for j in range(n):
-                Md[j] += factor * Ms[j]
-            Us, Ud = U[src], U[dst]
-            for j in range(m):
-                Ud[j] += factor * Us[j]
+            Ws, Wd = W[src], W[dst]
+            for j in range(n + m):
+                Wd[j] += factor * Ws[j]
 
     def add_col(src: int, dst: int, factor: int) -> None:
         if factor:
-            for row in M:
+            for row in W:
                 row[dst] += factor * row[src]
-            for row in V:
-                row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
 
     k = 0
-    limit = min(m, n)
-    while k < limit:
+    while k < min(m, n):
         pivot = None
-        best = None
+        best = 0
         for i in range(k, m):
+            row = W[i]
             for j in range(k, n):
-                x = abs(M[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    pivot = (i, j)
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pivot = x, (i, j)
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        if M[k][k] < 0:
-            negate_row(k)
+        i, j = pivot
+        W[k], W[i] = W[i], W[k]
+        if j != k:
+            for row in W:
+                row[k], row[j] = row[j], row[k]
+        if W[k][k] < 0:
+            W[k] = [-x for x in W[k]]
+        p = W[k][k]
         dirty = False
         for i in range(k + 1, m):
-            q = M[i][k] // M[k][k]
-            add_row(k, i, -q)
-            if M[i][k]:
-                dirty = True
+            add_row(k, i, -(W[i][k] // p))
+            dirty = dirty or W[i][k] != 0
+        row = W[k]
         for j in range(k + 1, n):
-            q = M[k][j] // M[k][k]
-            add_col(k, j, -q)
-            if M[k][j]:
-                dirty = True
+            add_col(k, j, -(row[j] // p))
+            dirty = dirty or row[j] != 0
         if dirty:
             continue
-        # Pull any entry the pivot does not divide into row k, then rerun.
-        stop = False
-        for i in range(k + 1, m):
-            if stop:
-                break
-            for j in range(k + 1, n):
-                if M[i][j] % M[k][k]:
-                    add_row(i, k, 1)
-                    stop = True
-                    break
-        if not stop:
-            k += 1
-    freeze = lambda mat: tuple(tuple(row) for row in mat)
-    return SmithDecomposition(U=freeze(U), D=freeze(M), V=freeze(V))
+        if p > 1:
+            # Pull any entry the pivot does not divide into row k, then rerun.
+            stray = next((i for i in range(k + 1, m) if any(x % p for x in W[i][k + 1 : n])), None)
+            if stray is not None:
+                add_row(stray, k, 1)
+                continue
+        k += 1
+    return SmithDecomposition(
+        U=tuple(tuple(row[n:]) for row in W[:m]),
+        D=tuple(tuple(row[:n]) for row in W[:m]),
+        V=tuple(map(tuple, W[m:])),
+    )
 
 
 @dataclass(frozen=True)
@@ -369,10 +351,13 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
     """K-theory from the regular-vertex matrix, via Smith normal form."""
     regs = dg.regular_vertices
     n = dg.n
-    B = [
-        [dg.multiplicity(x, y) - (1 if x == y else 0) for x in regs]
-        for y in range(n)
-    ]
+    column = {x: c for c, x in enumerate(regs)}
+    B = [[0] * len(regs) for _ in range(n)]
+    for x, c in column.items():
+        B[x][c] = -1
+    for (x, y), m in dg.edge_mult.items():
+        if x in column:
+            B[y][column[x]] += m
     snf = smith_normal_form(B)
     diag = snf.invariant_factors
     rank = len(diag)
@@ -404,7 +389,6 @@ class SixTermCheck:
     sink: int
     full: KTheoryReport
     quotient: KTheoryReport
-    unit_is_generator: bool
     kappa: int | None
 
 
@@ -438,17 +422,10 @@ def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
         frozenset(renum[v] for v in dg.infinite_emitters if v != w),
     )
     full = graph_ktheory(dg)
-    unit_gen = full.unit_is_generator
     kappa = None
-    if unit_gen:
+    if full.unit_is_generator:
         kappa = full.vertex_class[w][0] * full.unit_class[0]
-    return SixTermCheck(
-        sink=w,
-        full=full,
-        quotient=graph_ktheory(quotient),
-        unit_is_generator=unit_gen,
-        kappa=kappa,
-    )
+    return SixTermCheck(sink=w, full=full, quotient=graph_ktheory(quotient), kappa=kappa)
 
 
 def _strong_component(dg: DirectedGraph, v: int, allowed: int) -> int:
@@ -587,40 +564,35 @@ def realize(p: InvariantProfile) -> DirectedGraph:
 def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationReport:
     """Check a directed graph against a single-factor profile's K-theory.
 
-    All targets need K0 the integers with the unit class a generator and
-    K1 zero.  Finite-component and Toeplitz targets additionally need a
-    unique well-placed sink whose class is chi times the unit and whose
-    quotient graph carries the right K-theory; the infinite-component
-    target needs no sink plus condition (K).
+    The targets are read from ``component_ktheory``: K0, the unit's class
+    and K1 of the full algebra always; then, for a component with an index
+    value, a unique well-placed sink whose class is the index value times
+    the unit and whose quotient graph carries the quotient K-theory, and
+    for one without, no sink plus condition (K).
     """
     factor = _single_factor(p)
     if factor is None:
         raise ValueError("verify_realization needs a single-factor profile")
-    target = component_name(factor)
-    full = graph_ktheory(dg)
+    want = component_ktheory(factor)
+    six = failure = None
+    if want.index_value is not None:
+        try:
+            six = sink_ideal_analysis(dg)
+        except ValueError as exc:
+            failure = CheckRow("sink_ideal_analysis", False, str(exc))
+    full = graph_ktheory(dg) if six is None else six.full
     checks = [
-        CheckRow(
-            "k0_full_is_Z",
-            full.k0 == Z_GROUP,
-            f"K0 = {full.k0}",
-        ),
+        CheckRow("k0_full_is_Z", full.k0 == want.k0_full, f"K0 = {full.k0}"),
         CheckRow(
             "unit_class_generates",
-            full.unit_is_generator,
+            full.unit_is_generator == want.unit_is_generator,
             f"unit class {list(full.unit_class)}",
         ),
-        CheckRow(
-            "k1_full_zero",
-            full.k1_rank == 0,
-            f"K1 rank = {full.k1_rank}",
-        ),
+        CheckRow("k1_full_zero", full.k1 == want.k1_full, f"K1 rank = {full.k1_rank}"),
     ]
     cond_k = condition_k(dg)
-    scc = strongly_connected_regular(dg)
-    if isinstance(factor, InfiniteComp):
-        checks.append(
-            CheckRow("no_sink", not dg.sinks, f"sinks = {list(dg.sinks)}")
-        )
+    if want.index_value is None:
+        checks.append(CheckRow("no_sink", not dg.sinks, f"sinks = {list(dg.sinks)}"))
         checks.append(
             CheckRow(
                 "condition_k",
@@ -630,34 +602,27 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
                 else "some strongly connected component is a single cycle",
             )
         )
-        return RealizationReport(target, tuple(checks), cond_k, scc)
-    chi = factor.chi if isinstance(factor, FiniteExt) else 0
-    try:
-        six = sink_ideal_analysis(dg)
-    except ValueError as exc:
-        checks.append(CheckRow("sink_ideal_analysis", False, str(exc)))
-        return RealizationReport(target, tuple(checks), cond_k, scc)
-    checks.append(
-        CheckRow(
-            "kappa_matches_chi",
-            six.kappa == chi,
-            f"kappa = {six.kappa}, chi = {chi}",
+    elif six is None:
+        checks.append(failure)
+    else:
+        chi = want.index_value
+        checks.append(
+            CheckRow("kappa_matches_chi", six.kappa == chi, f"kappa = {six.kappa}, chi = {chi}")
         )
-    )
-    want_quotient_k0 = AbGroup.cyclic(chi)
-    checks.append(
-        CheckRow(
-            "quotient_k0",
-            six.quotient.k0 == want_quotient_k0,
-            f"quotient K0 = {six.quotient.k0}, want {want_quotient_k0}",
+        checks.append(
+            CheckRow(
+                "quotient_k0",
+                six.quotient.k0 == want.k0_quotient,
+                f"quotient K0 = {six.quotient.k0}, want {want.k0_quotient}",
+            )
         )
-    )
-    want_k1 = 1 if chi == 0 else 0
-    checks.append(
-        CheckRow(
-            "quotient_k1",
-            six.quotient.k1_rank == want_k1,
-            f"quotient K1 rank = {six.quotient.k1_rank}, want {want_k1}",
+        checks.append(
+            CheckRow(
+                "quotient_k1",
+                six.quotient.k1 == want.k1_quotient,
+                f"quotient K1 rank = {six.quotient.k1_rank}, want {want.k1_quotient.free_rank}",
+            )
         )
+    return RealizationReport(
+        want.component, tuple(checks), cond_k, strongly_connected_regular(dg)
     )
-    return RealizationReport(target, tuple(checks), cond_k, scc)

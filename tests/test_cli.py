@@ -84,6 +84,15 @@ class TestDetectFormat:
         assert detect_format("0 1\n1 2\n") == "edges"
         assert detect_format("vertices: 3\na b\n") == "edges"
 
+    def test_equals_sign_in_a_comment_is_not_a_profile(self, capsys, validator):
+        path = "# path, n=3\n0 1\n1 2\n"
+        assert detect_format(path) == "edges"
+        assert detect_format("t=1") == "profile"
+        code, doc = run_json(capsys, validator, "classify", path, "--json")
+        assert code == 0
+        _, want = run_json(capsys, validator, "classify", "t=1;N[-1]=1", "--json")
+        assert doc["profile"] == want["profile"] == {"t": 1, "o": 0, "N": [[-1, 1]]}
+
 
 class TestClassify:
     def test_graph6_json(self, capsys, validator):

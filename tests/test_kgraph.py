@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -24,7 +27,9 @@ from raagcs import (
     smith_normal_form,
     verify_realization,
 )
+import raagcs.kgraph as kgraph
 from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
+from raagcs.cli import main as cli_main
 from raagcs.graphs import LimitExceeded
 from raagcs.kgraph import (
     DGRAPH_MAX,
@@ -356,6 +361,33 @@ class TestGraphKTheory:
         assert tuple(reduced) == rep.unit_class
 
 
+def multiplied_cycle(n: int, m: int) -> DirectedGraph:
+    return DirectedGraph(n, {(v, (v + 1) % n): m for v in range(n)})
+
+
+class TestCycleClosedForm:
+    """An n-cycle whose edges all have multiplicity m >= 2 has
+    K0 = Z/(m^n - 1) and K1 = 0."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fifty_cycle_with_certificate(self, m):
+        n = 50
+        B = [[0] * n for _ in range(n)]
+        for v in range(n):
+            B[v][v] = -1
+            B[(v + 1) % n][v] = m
+        assert assert_valid_snf(B) == (1,) * (n - 1) + (m**n - 1,)
+        rep = graph_ktheory(multiplied_cycle(n, m))
+        assert rep.k0 == AbGroup(0, (m**n - 1,)) and rep.k1_rank == 0
+
+    def test_largest_cycle_through_the_cli(self, capsys):
+        text = format_dgraph(multiplied_cycle(DGRAPH_MAX, 2))
+        assert cli_main(["ktheory", text, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k0"]["torsion"] == [2**DGRAPH_MAX - 1]
+        assert doc["k1"]["free_rank"] == 0
+
+
 class TestSinkIdealAnalysis:
     def test_toeplitz_shape(self):
         six = sink_ideal_analysis(DirectedGraph(2, {(0, 0): 1, (0, 1): 1}))
@@ -502,8 +534,69 @@ class TestVerifyRealization:
         with pytest.raises(ValueError):
             verify_realization(realize(p("t=1")), p("t=2"))
 
+    def test_targets_come_from_component_ktheory(self, monkeypatch):
+        prof = p("N[-2]=1")
+        dg = realize(prof)
+        real = kgraph.component_ktheory
+        wrong = lambda c: dataclasses.replace(real(c), k0_quotient=AbGroup(0, (7,)))
+        monkeypatch.setattr(kgraph, "component_ktheory", wrong)
+        report = verify_realization(dg, prof)
+        failed = [c for c in report.checks if not c.ok]
+        assert [c.name for c in failed] == ["quotient_k0"]
+        assert failed[0].detail == "quotient K0 = Z/2, want Z/7"
+
     def test_strong_connectivity_is_reported(self):
         minus = verify_realization(realize(p("N[-2]=1")), p("N[-2]=1"))
         plus = verify_realization(realize(p("N[2]=1")), p("N[2]=1"))
         assert minus.strongly_connected_regular
         assert not plus.strongly_connected_regular
+
+
+def block_dgraph(rng: random.Random, n: int, sinks: int, emitters: int) -> str:
+    """dgraph text shaped like the benchmark's ``ktheory`` inputs: strongly
+    connected blocks of 8 vertices, each vertex on a cycle through its
+    block with 0-2 more edges into it and sometimes one to a sink, then
+    relabelled by a random permutation."""
+    mult: dict[tuple[int, int], int] = {}
+    core = n - sinks
+    for start in range(0, core, 8):
+        block = range(start, min(start + 8, core))
+        for i, v in enumerate(block):
+            targets = [block[(i + 1) % len(block)]]
+            targets += [rng.choice(block) for _ in range(rng.randint(0, 2))]
+            for t in targets:
+                mult[v, t] = mult.get((v, t), 0) + rng.randint(1, 2)
+            if sinks and rng.random() < 0.3:
+                key = (v, rng.randrange(core, n))
+                mult[key] = mult.get(key, 0) + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    lines = [f"dvertices: {n}"]
+    lines += [f"{perm[v]} *" for v in sorted(rng.sample(range(core), emitters))]
+    lines += [f"{perm[s]} {perm[t]} {m}" for (s, t), m in sorted(mult.items())]
+    return "\n".join(lines) + "\n"
+
+
+class TestOutputBytes:
+    """Vertex and unit classes are coordinates in the basis the Smith
+    normal form's U picks, so these digests change with any change to the
+    sequence of row and column operations, not only with the groups."""
+
+    @staticmethod
+    def digest(capsys, argvs) -> str:
+        h = hashlib.sha256()
+        for argv in argvs:
+            assert cli_main(argv) == 0
+            h.update(capsys.readouterr().out.encode())
+        return h.hexdigest()[:16]
+
+    def test_ktheory_json_on_block_digraphs(self, capsys):
+        rng = random.Random(2024)
+        sizes = [(20, 1, 1), (40, 0, 2), (60, 2, 1), (80, 1, 0), (100, 0, 3), (120, 2, 2)]
+        argvs = [["ktheory", block_dgraph(rng, *s), "--json"] for s in sizes * 2]
+        assert self.digest(capsys, argvs) == "f3a4178220df0b8e"
+
+    def test_realize_json_on_single_factors(self, capsys):
+        specs = ["t=1", "o=1"] + [f"N[{k}]=1" for k in range(-30, 31)]
+        argvs = [["realize", spec, "--json"] for spec in specs]
+        assert self.digest(capsys, argvs) == "0bc2abc12a1d5129"
