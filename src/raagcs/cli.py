@@ -71,7 +71,6 @@ from .kgraph import (
     parse_dgraph,
     realize,
     sink_ideal_analysis,
-    verify_realization,
 )
 
 GOLDEN_RESOURCE = "five_vertex_census.json"
@@ -462,8 +461,7 @@ def _text_enumerate(doc: dict[str, Any]) -> None:
 def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
     kind, value, warns = _parse_input(args.input, args.format, GRAPH_OR_PROFILE)
     p = _to_profile(kind, value)
-    dg = realize(p)
-    report = verify_realization(dg, p)
+    dg, report = realize(p)
     return {
         "document": "realization",
         "input": _echo(kind, value),

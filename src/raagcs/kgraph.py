@@ -10,7 +10,8 @@ generator and the sink class zero.
 
 The realizer turns a single-factor profile into a directed graph whose
 algebra has the same complete invariant, and every emitted graph is run
-through the Smith-normal-form verification before it is returned.
+through the Smith-normal-form verification, whose report is returned with
+it.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ class DirectedGraph:
             v for v in range(self.n) if self.successors[v] and v not in self.infinite_emitters
         )
 
-    def multiplicity(self, s: int, t: int) -> int:
-        return self.edge_mult.get((s, t), 0)
-
-    def out_edges(self, v: int) -> list[tuple[int, int]]:
-        """(target, multiplicity) pairs, sorted by target."""
-        return [(t, self.edge_mult[v, t]) for t in _bits(self.successors[v])]
-
 
 def parse_dgraph(text: str) -> DirectedGraph:
     """Parse the directed-graph text format.
@@ -176,51 +170,6 @@ def format_dgraph(dg: DirectedGraph) -> str:
         f"{s} {t} {m}" for (s, t), m in sorted(dg.edge_mult.items())
     )
     return "\n".join(lines) + "\n"
-
-
-Matrix = list[list[int]]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
-def integer_determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    k = len(m)
-    if any(len(row) != k for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if k == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, k):
-                if a[r][i]:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[k - 1][k - 1]
 
 
 @dataclass(frozen=True)
@@ -483,55 +432,40 @@ class RealizationReport:
 
 
 def _single_factor(p: InvariantProfile) -> ComponentClass | None:
+    """The one tensor factor of a profile's algebra, or None.  Any o >= 1
+    with nothing else is one O_inf: O_inf (x) O_inf is O_inf again, and
+    its normal form is the one of o = 1."""
     parts = profile_components(p)
-    if len(parts) != 1 or parts[0][1] != 1:
+    if len(parts) != 1:
         return None
-    return parts[0][0]
+    factor, count = parts[0]
+    return factor if count == 1 or isinstance(factor, InfiniteComp) else None
 
 
-def _toeplitz_template() -> DirectedGraph:
-    return DirectedGraph(2, {(0, 0): 1, (0, 1): 1})
-
-
-def _infinite_template() -> DirectedGraph:
-    return DirectedGraph(1, {(0, 0): 2}, frozenset({0}))
-
-
-def _finite_template(chi: int) -> DirectedGraph:
+def _template(factor: ComponentClass) -> DirectedGraph:
+    """The shipped directed graph for one tensor factor."""
+    if isinstance(factor, Toeplitz):
+        return DirectedGraph(2, {(0, 0): 1, (0, 1): 1})
+    if isinstance(factor, InfiniteComp):
+        return DirectedGraph(1, {(0, 0): 2}, frozenset({0}))
+    chi = factor.chi
     if chi < 0:
-        n = -chi
-        return DirectedGraph(2, {(0, 0): n + 1, (0, 1): n + 1})
+        return DirectedGraph(2, {(0, 0): 1 - chi, (0, 1): 1 - chi})
     if chi == 0:
         return DirectedGraph(
-            4,
-            {
-                (0, 1): 1,
-                (1, 1): 2,
-                (1, 2): 1,
-                (1, 3): 1,
-                (2, 2): 2,
-                (2, 1): 1,
-            },
+            4, {(0, 1): 1, (1, 1): 2, (1, 2): 1, (1, 3): 1, (2, 2): 2, (2, 1): 1}
         )
-    n = chi
-    return DirectedGraph(
-        3,
-        {
-            (0, 1): 3 * n - 2,
-            (0, 2): 2,
-            (1, 1): n + 1,
-            (1, 2): 1,
-        },
-    )
+    return DirectedGraph(3, {(0, 1): 3 * chi - 2, (0, 2): 2, (1, 1): chi + 1, (1, 2): 1})
 
 
-def realize(p: InvariantProfile) -> DirectedGraph:
-    """Directed graph whose algebra matches a single-factor profile.
+def realize(p: InvariantProfile) -> tuple[DirectedGraph, RealizationReport]:
+    """Directed graph whose algebra matches a single-factor profile, with
+    the verify_realization report it passed.
 
     Raises NotRealizable when the profile's algebra is not a graph algebra
     at all, and RealizationNotImplemented when it is one but has zero or
     several tensor factors (only single-factor templates are shipped).
-    Every returned graph has passed verify_realization.
+    A template that fails its verification raises RuntimeError.
     """
     ok, _ = is_graph_algebra(p)
     if not ok:
@@ -546,19 +480,14 @@ def realize(p: InvariantProfile) -> DirectedGraph:
             "only single-factor algebras have realization templates; "
             f"this profile has {p.component_count} factors"
         )
-    if isinstance(factor, Toeplitz):
-        dg = _toeplitz_template()
-    elif isinstance(factor, InfiniteComp):
-        dg = _infinite_template()
-    else:
-        dg = _finite_template(factor.chi)
+    dg = _template(factor)
     report = verify_realization(dg, p)
     if not report.passed:
         raise RuntimeError(
             f"template for {component_name(factor)} failed self-verification: "
             + "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.ok)
         )
-    return dg
+    return dg, report
 
 
 def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationReport:

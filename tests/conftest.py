@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -202,6 +203,49 @@ def random_matrix(
         [rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)
     ]
 
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Exact integer product a * b; checks a Smith normal form's U * A * V = D."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            x = ai[k]
+            if x:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] += x * bk[j]
+    return out
+
+
+def integer_determinant(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    k = len(m)
+    if any(len(row) != k for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if k == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, k):
+                if a[r][i]:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[k - 1][k - 1]
 
 def random_profile(rng: random.Random) -> InvariantProfile:
     def count() -> object:

@@ -29,7 +29,6 @@ from raagcs import (
     sink_ideal_analysis,
     smith_normal_form,
     stable_normal_form,
-    verify_realization,
 )
 from raagcs.artin import Z_GROUP, AbGroup
 from raagcs.cli import (
@@ -39,8 +38,7 @@ from raagcs.cli import (
     load_golden,
     profile_spec_string,
 )
-from raagcs.kgraph import integer_determinant, mat_mul
-from conftest import random_graph, random_matrix, random_profile
+from conftest import integer_determinant, mat_mul, random_graph, random_matrix, random_profile
 
 p = parse_profile_spec
 
@@ -158,8 +156,8 @@ def test_c07_realizer_self_certification():
     for n in range(1, 7):
         for spec, chi in ((f"N[-{n}]=1", -n), (f"N[{n}]=1", n)):
             prof = p(spec)
-            dg = realize(prof)
-            assert verify_realization(dg, prof).passed
+            dg, report = realize(prof)
+            assert report.passed
             full = graph_ktheory(dg)
             assert full.k0 == Z_GROUP and full.unit_is_generator
             assert full.k1_rank == 0
@@ -168,8 +166,8 @@ def test_c07_realizer_self_certification():
             assert six.quotient.k0 == AbGroup.cyclic(n)
             assert six.quotient.k1_rank == 0
 
-    toeplitz = realize(p("t=1"))
-    assert verify_realization(toeplitz, p("t=1")).passed
+    toeplitz, report = realize(p("t=1"))
+    assert report.passed
     six = sink_ideal_analysis(toeplitz)
     assert six.kappa == 0
     assert six.quotient.k1_rank == 1

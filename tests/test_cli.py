@@ -337,6 +337,20 @@ class TestRealize:
         assert code == 5
         assert "not implemented" in err
 
+    @pytest.mark.parametrize("spec", ["o=2;N[1]=1", ""])
+    def test_other_multi_factor_profiles_exit_5(self, capsys, spec):
+        code, _, err = run_cli(capsys, "realize", spec)
+        assert code == 5
+        assert "not implemented" in err
+
+    @pytest.mark.parametrize("spec", ["o=2", "o=7", "o=inf"])
+    def test_infinite_factors_realize_as_one(self, capsys, validator, spec):
+        # classify names these O_inf, and compare finds them isomorphic to o=1.
+        code, doc = run_json(capsys, validator, "realize", spec, "--json")
+        assert code == 0
+        assert doc["target"] == doc["algebra_name"] == "O_inf"
+        assert doc["verification"]["passed"] is True
+
     def test_human_output(self, capsys):
         code, out, _ = run_cli(capsys, "realize", "N[2]=1")
         assert code == 0

@@ -70,6 +70,13 @@ def run_readme_command(capsys, monkeypatch, command: str) -> str:
 EXAMPLES = readme_examples()
 
 
+def readme_library_blocks() -> list[str]:
+    """Each ``python`` block under "Library", up to the next section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library") :].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
 def test_readme_has_an_example_per_command():
     commands = [re.search(r"raagcs (\w+)", command)[1] for command, _ in EXAMPLES]
     assert sorted(commands) == sorted(COMMANDS)
@@ -78,6 +85,13 @@ def test_readme_has_an_example_per_command():
 @pytest.mark.parametrize("command,expected", EXAMPLES, ids=[c[:40] for c, _ in EXAMPLES])
 def test_readme_example(capsys, monkeypatch, command, expected):
     assert run_readme_command(capsys, monkeypatch, command) == expected
+
+
+def test_readme_library_blocks_run():
+    blocks = readme_library_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 # ------------------------------------------------------- text is a view

@@ -31,14 +31,11 @@ import raagcs.kgraph as kgraph
 from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
 from raagcs.cli import main as cli_main
 from raagcs.graphs import LimitExceeded
-from raagcs.kgraph import (
-    DGRAPH_MAX,
-    integer_determinant,
-    mat_mul,
-    strongly_connected_regular,
-)
+from raagcs.kgraph import DGRAPH_MAX, strongly_connected_regular
 from conftest import (
     dgraphs,
+    integer_determinant,
+    mat_mul,
     random_dgraph,
     random_matrix,
     reference_closure,
@@ -61,11 +58,11 @@ class TestDirectedGraph:
         assert dg.edge_mult == {(0, 0): 1}
         assert dg.sinks == (1,)
 
-    def test_out_edges_sorted(self):
+    def test_successor_rows(self):
         dg = DirectedGraph(3, {(0, 2): 1, (0, 1): 4})
-        assert dg.out_edges(0) == [(1, 4), (2, 1)]
-        assert dg.multiplicity(0, 1) == 4
-        assert dg.multiplicity(1, 0) == 0
+        assert dg.successors == (0b110, 0, 0)
+        assert dg.predecessors == (0, 0b1, 0b1)
+        assert dg.edge_mult == {(0, 2): 1, (0, 1): 4}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +104,7 @@ def assert_roles_match_edge_scan(dg: DirectedGraph) -> None:
     assert dg.regular_vertices == tuple(regular)
     for v in range(n):
         assert dg.emits(v) == emits[v]
-        assert dg.out_edges(v) == sorted((t, m) for (s, t), m in mult.items() if s == v)
+        assert dg.successors[v] == sum(1 << t for s, t in mult if s == v)
     inside = {(s, t) for s, t in mult if s in regular and t in regular}
     reach = reference_closure(n, inside)
     connected = all(a == b or reach[a][b] for a in regular for b in regular)
@@ -142,7 +139,7 @@ class TestDgraphFormat:
 
     def test_repeated_edge_lines_add_up(self):
         dg = parse_dgraph("dvertices: 2\n0 1 2\n0 1 3\n")
-        assert dg.multiplicity(0, 1) == 5
+        assert dg.edge_mult == {(0, 1): 5}
 
     def test_format_round_trip(self):
         text = "dvertices: 3\n1 *\n0 1 2\n2 2 1\n"
@@ -469,40 +466,63 @@ class TestConditionK:
 
 class TestRealize:
     def test_toeplitz_target(self):
-        dg = realize(p("t=1"))
+        dg, report = realize(p("t=1"))
         assert dg.edge_mult == {(0, 0): 1, (0, 1): 1}
-        report = verify_realization(dg, p("t=1"))
         assert report.passed and report.target == "T"
         assert not report.condition_k
 
     def test_infinite_target(self):
-        dg = realize(p("o=1"))
+        dg, report = realize(p("o=1"))
         assert dg.infinite_emitters == frozenset({0})
-        report = verify_realization(dg, p("o=1"))
         assert report.passed and report.target == "O_inf"
         assert report.condition_k
+
+    def test_several_infinite_factors_are_one(self):
+        # O_inf (x) O_inf is O_inf: any o >= 1 alone has o=1's normal form.
+        template, _ = realize(p("o=1"))
+        for spec in ("o=2", "o=7", "o=inf"):
+            dg, report = realize(p(spec))
+            assert dg == template
+            assert report.passed and report.target == "O_inf"
 
     def test_negative_chi_targets(self):
         for n in range(1, 7):
             prof = p(f"N[-{n}]=1")
-            dg = realize(prof)
+            dg, report = realize(prof)
             assert sink_ideal_analysis(dg).kappa == -n
-            assert verify_realization(dg, prof).passed
+            assert report.passed
 
     def test_positive_chi_targets(self):
         for n in range(1, 7):
             prof = p(f"N[{n}]=1")
-            dg = realize(prof)
+            dg, report = realize(prof)
             assert sink_ideal_analysis(dg).kappa == n
-            assert verify_realization(dg, prof).passed
+            assert report.passed
 
     def test_zero_chi_target(self):
         prof = p("N[0]=1")
-        dg = realize(prof)
+        dg, report = realize(prof)
         six = sink_ideal_analysis(dg)
         assert six.kappa == 0
         assert six.quotient.k0 == Z_GROUP and six.quotient.k1_rank == 1
-        assert verify_realization(dg, prof).passed
+        assert report.passed
+
+    def test_returned_report_is_the_verification(self):
+        specs = ["t=1", "o=1", "o=2", "o=inf"] + [f"N[{k}]=1" for k in range(-30, 31)]
+        for spec in specs:
+            dg, report = realize(p(spec))
+            assert report == verify_realization(dg, p(spec))
+
+    @pytest.mark.parametrize("spec, passes", [("N[3]=1", 2), ("o=1", 1)])
+    def test_cli_runs_the_ktheory_once_per_graph(self, capsys, monkeypatch, spec, passes):
+        # A sink target computes the full graph and its quotient; o=1 only
+        # the full graph.  Verifying again for the report would double it.
+        calls = []
+        real = kgraph.graph_ktheory
+        monkeypatch.setattr(kgraph, "graph_ktheory", lambda dg: calls.append(dg) or real(dg))
+        assert cli_main(["realize", spec, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"]
+        assert len(calls) == passes
 
     def test_not_realizable(self):
         for spec in ("N[-2]=2", "t=1;N[1]=1", "t=2", "N[1]=inf"):
@@ -514,11 +534,13 @@ class TestRealize:
             realize(p("N[-1]=5"))
         with pytest.raises(RealizationNotImplemented):
             realize(p(""))
+        with pytest.raises(RealizationNotImplemented):
+            realize(p("o=2;N[1]=1"))
 
 
 class TestVerifyRealization:
     def test_wrong_target_fails_kappa(self):
-        dg = realize(p("t=1"))
+        dg, _ = realize(p("t=1"))
         report = verify_realization(dg, p("N[-1]=1"))
         assert not report.passed
         failed = {c.name for c in report.checks if not c.ok}
@@ -532,11 +554,11 @@ class TestVerifyRealization:
 
     def test_multi_factor_profile_rejected(self):
         with pytest.raises(ValueError):
-            verify_realization(realize(p("t=1")), p("t=2"))
+            verify_realization(realize(p("t=1"))[0], p("t=2"))
 
     def test_targets_come_from_component_ktheory(self, monkeypatch):
         prof = p("N[-2]=1")
-        dg = realize(prof)
+        dg, _ = realize(prof)
         real = kgraph.component_ktheory
         wrong = lambda c: dataclasses.replace(real(c), k0_quotient=AbGroup(0, (7,)))
         monkeypatch.setattr(kgraph, "component_ktheory", wrong)
@@ -546,8 +568,8 @@ class TestVerifyRealization:
         assert failed[0].detail == "quotient K0 = Z/2, want Z/7"
 
     def test_strong_connectivity_is_reported(self):
-        minus = verify_realization(realize(p("N[-2]=1")), p("N[-2]=1"))
-        plus = verify_realization(realize(p("N[2]=1")), p("N[2]=1"))
+        _, minus = realize(p("N[-2]=1"))
+        _, plus = realize(p("N[2]=1"))
         assert minus.strongly_connected_regular
         assert not plus.strongly_connected_regular
 
