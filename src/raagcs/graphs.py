@@ -238,7 +238,6 @@ _G6 = bytes(range(63, 127))
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6 = bytes.maketrans(_B64, _G6)
 _FROM_G6 = bytes.maketrans(_G6, _B64)
-_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _pack6(bits: str) -> bytes:
@@ -386,52 +385,41 @@ def _twins(adj: tuple[int, ...], u: int, w: int) -> bool:
     return adj[u] & mask == adj[w] & mask
 
 
-def _minimal_bits(adj: tuple[int, ...], n: int) -> list[int]:
-    """Lexicographically minimal upper-triangle bit sequence over all orders.
+def _lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
+    """Lower ``bound``, in place, to the least columns of any vertex order,
+    yielding the position of each column it lowers.
 
-    Orders are grown one vertex at a time.  At each position only the
-    candidates whose adjacency column against the placed prefix is minimal
-    are expanded, interchangeable candidates (twins) only once, and any
-    branch that falls behind the best complete order found so far is cut.
+    Column k of an order lists its k-th vertex's adjacency to the k before
+    it, the first-placed vertex in the high bit: the order's upper-triangle
+    bits are its columns concatenated, and compare as the ints do.  Orders
+    grow one vertex at a time, each unplaced vertex's column gaining a bit
+    per placement.  A branch whose least column is above ``bound``'s is cut;
+    one below replaces it and resets every later column above all columns.
+    The vertices with the least column are expanded, twins only once.  So
+    the first yield says whether some order beats ``bound``, and running
+    the search out minimizes it.
     """
-    best: list[int] | None = None
-    prefix: list[int] = []
-    placed: list[int] = []
-    used = 0
+    top = 1 << n  # above every column: placed vertices never win a min
 
-    def rec() -> None:
-        nonlocal best, used
-        pos = len(placed)
-        if pos == n:
-            if best is None or prefix < best:
-                best = prefix.copy()
+    def rec(k: int, cols: list[int]) -> Iterator[int]:
+        if k == n:
             return
-        offset = len(prefix)
-        by_col: dict[tuple[int, ...], list[int]] = {}
-        for u in range(n):
-            if used >> u & 1:
-                continue
-            col = tuple(adj[u] >> p & 1 for p in placed)
-            by_col.setdefault(col, []).append(u)
-        col = min(by_col)
-        if best is not None and prefix == best[:offset]:
-            if list(col) > best[offset : offset + pos]:
-                return
+        least = min(cols)
+        if least > bound[k]:
+            return
+        if least < bound[k]:
+            bound[k:] = [least] + [top] * (n - k - 1)
+            yield k
         reps: list[int] = []
-        for u in by_col[col]:
-            if not any(_twins(adj, u, w) for w in reps):
+        for u, col in enumerate(cols):
+            if col == least and not any(_twins(adj, u, w) for w in reps):
                 reps.append(u)
-        prefix.extend(col)
-        for u in reps:
-            placed.append(u)
-            used |= 1 << u
-            rec()
-            placed.pop()
-            used &= ~(1 << u)
-        del prefix[offset:]
+                row = adj[u]
+                nxt = [c << 1 | row >> v & 1 for v, c in enumerate(cols)]
+                nxt[u] = top
+                yield from rec(k + 1, nxt)
 
-    rec()
-    return best if best is not None else []
+    return rec(0, [0] * n)
 
 
 def canonical_form(g: UndirectedGraph) -> bytes:
@@ -440,35 +428,47 @@ def canonical_form(g: UndirectedGraph) -> bytes:
     Equal byte strings characterize isomorphic graphs.  The search is
     exponential in the worst case, hence the documented cap.
     """
-    if g.n > CANONICAL_MAX:
+    n = g.n
+    if n > CANONICAL_MAX:
         raise LimitExceeded(
-            f"canonical_form is capped at n <= {CANONICAL_MAX}, got {g.n}"
+            f"canonical_form is capped at n <= {CANONICAL_MAX}, got {n}"
         )
-    bits = bytes(_minimal_bits(g.adjacency, g.n)).translate(_ASCII_BITS).decode()
-    return bytes([63 + g.n]) + _pack6(bits)
+    bound = [1 << n] * n
+    for _ in _lower(g.adjacency, n, bound):
+        pass
+    bits = "".join(format(c, f"0{k}b") for k, c in enumerate(bound) if k)
+    return bytes([63 + n]) + _pack6(bits)
 
 
 def enumerate_graphs(n: int, limit: int = ENUMERATE_MAX) -> list[UndirectedGraph]:
     """One canonical representative per isomorphism class on n vertices.
 
-    Built level by level: each class on k-1 vertices is extended by a new
-    vertex attached in all 2^(k-1) ways, then deduplicated by canonical
-    form.  Results come relabeled into canonical form, sorted by their
-    graph6 bytes.
+    Orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
+    McKay, "Isomorph-free exhaustive generation", 1998).  A graph is
+    canonical when no vertex order's columns (``_lower``) are below its
+    identity order's.  Deleting the last vertex of a canonical graph leaves
+    a canonical graph, so each canonical graph on k-1 vertices is extended
+    by a new last vertex in all 2^(k-1) ways and kept iff it is canonical:
+    every class is reached exactly once.  Parents come in graph6 order and
+    each takes its new last column in increasing order, so the result is
+    sorted by graph6 bytes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > limit:
         raise LimitExceeded(f"enumeration is capped at n <= {limit}, got {n}")
-    keys: list[bytes] = [canonical_form(empty_graph(0))]
+    # Adjacency rows and identity-order columns of each canonical graph.
+    level: list[tuple[tuple[int, ...], list[int]]] = [((), [])]
     for k in range(1, n + 1):
-        seen: set[bytes] = set()
-        for key in keys:
-            base = parse_graph6(key).adjacency
-            for nb in range(1 << (k - 1)):
-                rows = tuple(
-                    row | (nb >> i & 1) << (k - 1) for i, row in enumerate(base)
-                )
-                seen.add(canonical_form(UndirectedGraph(k, rows + (nb,))))
-        keys = sorted(seen)
-    return [parse_graph6(key) for key in keys]
+        # A new last vertex's row is its column read from the low bit.
+        flipped = [int(format(c, f"0{k - 1}b")[::-1], 2) for c in range(1 << (k - 1))]
+        grown = []
+        for base, head in level:
+            for c, nb in enumerate(flipped):
+                rows = tuple(r | (nb >> i & 1) << (k - 1) for i, r in enumerate(base))
+                rows += (nb,)
+                cols = head + [c]
+                if next(_lower(rows, k, cols), None) is None:
+                    grown.append((rows, cols))
+        level = grown
+    return [UndirectedGraph(n, rows) for rows, _ in level]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -126,6 +127,27 @@ def reference_graph6(n: int, edges: set[tuple[int, int]]) -> str:
             value = 2 * value + bit
         body += chr(63 + value)
     return head + body
+
+
+def reference_canonical_graph6(g: UndirectedGraph) -> str:
+    """graph6 of g under the vertex order with the least upper-triangle bit
+    string, found by trying all n! orders; shares no code with the library's
+    search."""
+    n, edges = g.n, set(g.edges)
+
+    def bits(order: tuple[int, ...]) -> list[bool]:
+        # Position j's column: the vertices at positions 0..j-1 against it.
+        return [
+            (min(order[i], order[j]), max(order[i], order[j])) in edges
+            for j in range(1, n)
+            for i in range(j)
+        ]
+
+    order = min(itertools.permutations(range(n)), key=bits)
+    pos = {v: i for i, v in enumerate(order)}
+    return reference_graph6(
+        n, {(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges}
+    )
 
 
 def reference_parse_graph6(text: str) -> tuple[int, set[tuple[int, int]]]:
@@ -259,8 +281,8 @@ def random_profile(rng: random.Random) -> InvariantProfile:
 
 
 @st.composite
-def graphs(draw: st.DrawFn, max_n: int = 8) -> UndirectedGraph:
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def graphs(draw: st.DrawFn, max_n: int = 8, min_n: int = 0) -> UndirectedGraph:
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return UndirectedGraph.from_edges(n, frozenset(picks))

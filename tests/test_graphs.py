@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from raagcs import (
@@ -33,11 +32,12 @@ from raagcs import (
     path_graph,
     to_graph6,
 )
-from raagcs.graphs import EDGE_LIST_MAX
+from raagcs.graphs import EDGE_LIST_MAX, _lower
 from conftest import (
     graphs,
     random_graph,
     random_join,
+    reference_canonical_graph6,
     reference_components,
     reference_graph6,
     reference_parse_graph6,
@@ -361,26 +361,41 @@ def permute(g: UndirectedGraph, perm: list[int]) -> UndirectedGraph:
     )
 
 
+def identity_columns(g: UndirectedGraph) -> list[int]:
+    """Column k of the identity order: vertices 0..k-1 against k, 0 highest."""
+    return [sum(g.has_edge(i, k) << (k - 1 - i) for i in range(k)) for k in range(g.n)]
+
+
+def assert_matches_reference(g: UndirectedGraph) -> None:
+    """canonical_form is the all-orders minimum, and the minimality test that
+    enumeration keeps extensions by holds exactly on the graphs that are
+    their own minimum."""
+    reference = reference_canonical_graph6(g)
+    assert canonical_form(g).decode("ascii") == reference
+    least = next(_lower(g.adjacency, g.n, identity_columns(g)), None) is None
+    assert least == (to_graph6(g) == reference)
+
+
 class TestCanonicalForm:
-    def test_matches_brute_force_on_four_vertices(self):
-        # Partition all 64 labeled graphs on 4 vertices two ways: by
-        # canonical form and by explicit minimum over all 24 relabelings.
-        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        by_canonical: dict[bytes, set[frozenset]] = {}
-        by_orbit: dict[tuple, set[frozenset]] = {}
-        for bits in range(64):
-            edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            g = UndirectedGraph.from_edges(4, edges)
-            by_canonical.setdefault(canonical_form(g), set()).add(edges)
-            orbit = min(
-                tuple(sorted(permute(g, list(perm)).edges))
-                for perm in itertools.permutations(range(4))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force(self, n):
+        # Every labeled graph on n vertices, against the minimum over all n!
+        # relabelings; the distinct minima are the isomorphism classes.
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        forms = set()
+        for bits in range(1 << len(pairs)):
+            g = UndirectedGraph.from_edges(
+                n, [p for i, p in enumerate(pairs) if bits >> i & 1]
             )
-            by_orbit.setdefault(orbit, set()).add(edges)
-        assert len(by_canonical) == len(by_orbit) == 11
-        assert set(map(frozenset, by_canonical.values())) == set(
-            map(frozenset, by_orbit.values())
-        )
+            assert_matches_reference(g)
+            forms.add(canonical_form(g))
+        assert len(forms) == [1, 1, 2, 4, 11, 34][n]
+
+    @given(graphs(min_n=6, max_n=7))
+    @settings(max_examples=25, deadline=None)
+    @seed(67)
+    def test_matches_brute_force_on_six_and_seven_vertices(self, g):
+        assert_matches_reference(g)
 
     @given(graphs(max_n=7), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -402,10 +417,9 @@ class TestCanonicalForm:
 
 class TestEnumeration:
     def test_class_counts(self):
-        assert [len(enumerate_graphs(n)) for n in range(6)] == [1, 1, 2, 4, 11, 34]
-
-    def test_six_vertex_count(self):
-        assert len(enumerate_graphs(6)) == 156
+        # OEIS A000088.
+        counts = [len(enumerate_graphs(n)) for n in range(8)]
+        assert counts == [1, 1, 2, 4, 11, 34, 156, 1044]
 
     def test_representatives_are_canonical_and_sorted(self):
         gs = enumerate_graphs(5)
