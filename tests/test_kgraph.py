@@ -311,6 +311,30 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 6)
             assert_valid_snf(random_matrix(rng, rows, cols))
 
+    def test_decomposition_digest(self):
+        """U, D and V themselves, entry for entry: any change to the pivot
+        rule or to the order of the row and column operations moves this
+        digest.  The corpus holds empty and zero-row shapes, rectangles,
+        sparse and dense matrices, each also negated (negative pivots) and
+        doubled (all entries even), and two matrices that need the pass
+        pulling an entry the pivot does not divide into the pivot row."""
+        rng = random.Random(29)
+        corpus = [[], [[]], [[], [], []], [[2, 0], [0, 3]], [[2, 4], [6, 8]]]
+        for _ in range(300):
+            rows, cols = rng.randint(0, 8), rng.randint(1, 8)
+            bound = rng.choice((1, 3, 9))
+            density = rng.choice((0.2, 0.5, 1.0))
+            a = [
+                [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            corpus += [a, [[-x for x in r] for r in a], [[2 * x for x in r] for r in a]]
+        h = hashlib.sha256()
+        for a in corpus:
+            snf = smith_normal_form(a)
+            h.update(repr((snf.U, snf.D, snf.V)).encode())
+        assert h.hexdigest()[:16] == "7cb97796d21d18cb"
+
 
 class TestGraphKTheory:
     def test_cuntz_algebra_anchor(self):
