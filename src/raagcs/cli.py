@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings as warnings_module
 from dataclasses import fields, is_dataclass
@@ -335,18 +334,6 @@ def _text_compare(doc: dict[str, Any]) -> None:
 # ------------------------------------------------------------ enumerate
 
 
-def _census_cap(args: argparse.Namespace) -> int:
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get("RAAG_LIMIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"RAAG_LIMIT must be an integer, got {env!r}") from None
-    return ENUMERATE_MAX
-
-
 def build_census(n: int, limit: int = ENUMERATE_MAX) -> list[dict[str, Any]]:
     """Classification rows for all isomorphism classes on n vertices,
     sorted by canonical graph6 string."""
@@ -420,7 +407,7 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     if args.n < 0:
         raise ParseError(f"n must be nonnegative, got {args.n}")
-    doc = _census_doc(args.n, build_census(args.n, limit=_census_cap(args)))
+    doc = _census_doc(args.n, build_census(args.n, limit=args.limit))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())
         doc["golden"] = {"match": not problems, "mismatches": problems}
@@ -494,6 +481,8 @@ def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
     if len(dg.sinks) == 1:
         try:
             six = sink_ideal_analysis(dg)
+        except LimitExceeded:
+            raise
         except ValueError as exc:
             warns.append(f"sink extension not analyzed: {exc}")
         else:
@@ -661,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--limit",
         type=int,
-        help="raise or lower the vertex cap (default 8, env RAAG_LIMIT)",
+        default=ENUMERATE_MAX,
+        help="raise or lower the vertex cap (default %(default)s)",
     )
     c.add_argument(
         "--golden",

@@ -286,17 +286,6 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "4", "--limit", "3")
         assert code == 3
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAAG_LIMIT", "4")
-        assert run_cli(capsys, "enumerate", "5")[0] == 3
-        assert run_cli(capsys, "enumerate", "5", "--limit", "5")[0] == 0
-
-    def test_bad_env_cap_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAAG_LIMIT", "soon")
-        code, _, err = run_cli(capsys, "enumerate", "3")
-        assert code == 2
-        assert "RAAG_LIMIT" in err
-
     def test_human_table(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "3")
         assert code == 0

@@ -409,6 +409,52 @@ class TestCycleClosedForm:
         assert doc["k1"]["free_rank"] == 0
 
 
+def dense_dgraph() -> str:
+    """120 vertices, three infinite emitters, every edge with probability
+    0.3 and multiplicity 1-3: the Smith normal form's entries grow to
+    thousands of bits, and without a budget ``ktheory`` was still running
+    after 25 s.  The CI workflow builds the same digraph."""
+    n = 120
+    rng = random.Random(1)
+    lines = [f"dvertices: {n}"] + [f"{v} *" for v in sorted(rng.sample(range(n), 3))]
+    lines += [
+        f"{s} {t} {rng.randint(1, 3)}"
+        for s in range(n)
+        for t in range(n)
+        if rng.random() < 0.3
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestSmithBudget:
+    def test_library_raises_past_the_budget(self, monkeypatch):
+        a = random_matrix(random.Random(3), 6, 5)
+        smith_normal_form(a)
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", 20)
+        with pytest.raises(LimitExceeded, match="Smith normal form .* 20 .* 6 x 5 matrix"):
+            smith_normal_form(a)
+
+    def test_dense_digraph_is_exit_3(self, capsys):
+        assert cli_main(["ktheory", dense_dgraph()]) == 3
+        err = capsys.readouterr().err
+        assert "Smith normal form" in err and "120 x 117 matrix" in err
+
+    def test_sink_extension_does_not_swallow_the_limit(self, capsys, monkeypatch):
+        # With one sink, sink_ideal_analysis runs first, and its refusals
+        # are ValueErrors that become warnings; the limit is not one of
+        # them, so the full graph is not reduced a second time.
+        text = block_dgraph(random.Random(5), 20, 1, 0)
+        assert cli_main(["ktheory", text, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sink_extension"] is not None
+        calls = []
+        real = kgraph.smith_normal_form
+        monkeypatch.setattr(kgraph, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", 0)
+        assert cli_main(["ktheory", text, "--json"]) == 3
+        assert "Smith normal form" in capsys.readouterr().err
+        assert len(calls) == 1
+
+
 class TestSinkIdealAnalysis:
     def test_toeplitz_shape(self):
         six = sink_ideal_analysis(DirectedGraph(2, {(0, 0): 1, (0, 1): 1}))
