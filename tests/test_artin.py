@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -540,3 +542,14 @@ class TestSemiprojectivity:
     def test_open_cases_stay_unknown(self):
         assert semiprojectivity(p("N[-2]=2")) == ("Unknown", None)
         assert semiprojectivity(p("N[-1]=inf")) == ("Unknown", None)
+
+    def test_verdict_digest(self):
+        # Both verdicts on every profile with t, o and N[-2..2] each in
+        # {0, 1, 2, inf}: 4 ** 7 = 16 384 profiles.
+        values = (0, 1, 2, "inf")
+        verdicts = []
+        for t, o, *counts in itertools.product(values, repeat=7):
+            prof = InvariantProfile.make(t, o, dict(zip(range(-2, 3), counts)))
+            verdicts.append((is_graph_algebra(prof), semiprojectivity(prof)))
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16]
+        assert digest == "02ed5a0e0df3c8f4"
