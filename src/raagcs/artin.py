@@ -603,12 +603,6 @@ class GraphAlgebraVerdict(NamedTuple):
     clause: int | None
 
 
-def _graph_algebra_clause2(p: InvariantProfile) -> bool:
-    ones = p.N_at(-1) + p.N_at(1)
-    others = sum((c for k, c in p.N if abs(k) != 1), ExtNat(0))
-    return ones.is_finite and others <= 1
-
-
 def is_graph_algebra(p: InvariantProfile) -> GraphAlgebraVerdict:
     """Whether the profile's algebra is a directed-graph C*-algebra.
 
@@ -618,7 +612,9 @@ def is_graph_algebra(p: InvariantProfile) -> GraphAlgebraVerdict:
     """
     if p.t == 1 and p.o == 0 and not p.N:
         return GraphAlgebraVerdict(True, 1)
-    if p.t == 0 and _graph_algebra_clause2(p):
+    ones = p.N_at(-1) + p.N_at(1)
+    others = sum((c for k, c in p.N if abs(k) != 1), ExtNat(0))
+    if p.t == 0 and ones.is_finite and others <= 1:
         return GraphAlgebraVerdict(True, 2)
     return GraphAlgebraVerdict(False, None)
 
@@ -631,23 +627,20 @@ class SemiprojectivityVerdict(NamedTuple):
 def semiprojectivity(p: InvariantProfile) -> SemiprojectivityVerdict:
     """Semiprojectivity of the profile's algebra, where decided.
 
-    More than one singleton component is never semiprojective (clause 1).
-    Exactly one singleton component is semiprojective exactly when nothing
-    else is present (clause 2).  With no singleton component the algebra
-    is semiprojective when the counts of Euler characteristic +1 or -1
-    are finite and at most one other finite factor exists (clause 3);
-    the remaining profiles are genuinely undecided here and reported
-    Unknown rather than guessed.
+    A graph algebra under clause c of ``is_graph_algebra`` is
+    semiprojective under clause c + 1.  Otherwise more than one singleton
+    component is never semiprojective (clause 1), exactly one singleton
+    component with anything beside it is not semiprojective (clause 2),
+    and with no singleton component the profile is genuinely undecided
+    here and reported Unknown rather than guessed.
     """
+    graph_algebra = is_graph_algebra(p)
+    if graph_algebra.value:
+        return SemiprojectivityVerdict(SEMIPROJECTIVE, graph_algebra.clause + 1)
     if p.t > 1:
         return SemiprojectivityVerdict(NOT_SEMIPROJECTIVE, 1)
     if p.t == 1:
-        alone = p.o == 0 and not p.N
-        return SemiprojectivityVerdict(
-            SEMIPROJECTIVE if alone else NOT_SEMIPROJECTIVE, 2
-        )
-    if _graph_algebra_clause2(p):
-        return SemiprojectivityVerdict(SEMIPROJECTIVE, 3)
+        return SemiprojectivityVerdict(NOT_SEMIPROJECTIVE, 2)
     return SemiprojectivityVerdict(UNKNOWN, None)
 
 

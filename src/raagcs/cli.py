@@ -477,23 +477,13 @@ def _text_realize(doc: dict[str, Any]) -> None:
 def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
     _, dg, _ = _parse_input(args.input, args.format, ("dgraph",))
     warns: list[str] = []
-    extension = None
+    six = None
     if len(dg.sinks) == 1:
         try:
             six = sink_ideal_analysis(dg)
-        except LimitExceeded:
-            raise
         except ValueError as exc:
             warns.append(f"sink extension not analyzed: {exc}")
-        else:
-            extension = {
-                "sink": six.sink,
-                "kappa": six.kappa,
-                "unit_is_generator": six.full.unit_is_generator,
-                "quotient_k0": _json(six.quotient.k0),
-                "quotient_k1": _json(six.quotient.k1),
-            }
-    rep = graph_ktheory(dg) if extension is None else six.full
+    rep = graph_ktheory(dg) if six is None else six.full
     return {
         "document": "ktheory",
         "dgraph": format_dgraph(dg),
@@ -507,7 +497,15 @@ def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
         "unit_is_generator": rep.unit_is_generator,
         "vertex_classes": [list(c) for c in rep.vertex_class],
         "condition_k": condition_k(dg),
-        "sink_extension": extension,
+        "sink_extension": None
+        if six is None
+        else {
+            "sink": six.sink,
+            "kappa": six.kappa,
+            "unit_is_generator": six.full.unit_is_generator,
+            "quotient_k0": _json(six.quotient.k0),
+            "quotient_k1": _json(six.quotient.k1),
+        },
         "warnings": warns,
     }
 
@@ -616,15 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--json", action="store_true", help="emit a JSON document"
-        )
-        mode.add_argument(
-            "--human",
-            action="store_true",
-            help="emit readable text (default)",
-        )
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
         if with_format:
             p.add_argument(
                 "--format",

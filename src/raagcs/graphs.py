@@ -30,8 +30,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-class LimitExceeded(ValueError):
-    """Input is larger than a documented brute-force cap."""
+class LimitExceeded(Exception):
+    """Input is larger than a documented cap or work budget.  A cap is not
+    malformed input, so this is no ValueError: catching refusals misses it."""
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -259,7 +260,7 @@ def _unpack6(data: bytes) -> str:
 def parse_graph6(text: str | bytes) -> UndirectedGraph:
     """Decode one graph6 record with either header; a vertex count above
     ``EDGE_LIST_MAX`` raises ``LimitExceeded`` before the body is read."""
-    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    raw = text.encode(errors="surrogateescape") if isinstance(text, str) else bytes(text)
     data = raw.strip().removeprefix(b">>graph6<<")
     if not data:
         raise ParseError("empty graph6 input")

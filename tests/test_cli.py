@@ -655,6 +655,13 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith(f"error: {path}: not UTF-8 text")
 
+    @pytest.mark.parametrize("text", ["Dé", "D\udcff"])
+    def test_graph6_outside_ascii_is_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "classify", "--format", "graph6", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "graph6" in err
+
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_negative_enumerate_is_exit_2(self, capsys, mode):
         code, out, err = run_cli(capsys, "enumerate", "-1", *mode)

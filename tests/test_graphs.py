@@ -252,6 +252,16 @@ class TestGraph6:
             parse_graph6(">")
         with pytest.raises(ParseError, match="invalid graph6 byte 30"):
             parse_graph6("~??" + chr(30))
+        # Text that is not ASCII: é is the UTF-8 bytes 195 169, and \udcff
+        # is argv's byte 255 that is not UTF-8.
+        with pytest.raises(ParseError, match="invalid graph6 byte 195"):
+            parse_graph6("Dé")
+        with pytest.raises(ParseError, match="invalid graph6 header byte 195"):
+            parse_graph6("é")
+        with pytest.raises(ParseError, match="needs 2 bytes, got 1"):
+            parse_graph6("D\udcff")
+        with pytest.raises(ParseError, match="invalid graph6 byte 255"):
+            parse_graph6("~\udcff??")
 
     def test_large_header(self):
         # 63 in 18 bits is the sextets 0, 0, 63.

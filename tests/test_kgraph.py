@@ -454,6 +454,20 @@ class TestSmithBudget:
         assert "Smith normal form" in capsys.readouterr().err
         assert len(calls) == 1
 
+    def test_verification_raises_the_limit_after_one_reduction(self, monkeypatch):
+        # A cap is not a failed check: verify_realization stops at the first
+        # Smith normal form that runs out of budget.
+        assert not issubclass(LimitExceeded, ValueError)
+        dg = DirectedGraph(2, {(0, 0): 4, (0, 1): 4})
+        assert verify_realization(dg, parse_profile_spec("N[-3]=1")).passed
+        calls = []
+        real = kgraph.smith_normal_form
+        monkeypatch.setattr(kgraph, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", 0)
+        with pytest.raises(LimitExceeded, match="Smith normal form"):
+            verify_realization(dg, parse_profile_spec("N[-3]=1"))
+        assert len(calls) == 1
+
 
 class TestSinkIdealAnalysis:
     def test_toeplitz_shape(self):
