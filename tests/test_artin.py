@@ -173,6 +173,10 @@ class TestProfileSpecParsing:
             p("o=1;o=1")
         with pytest.raises(ParseError, match=r"duplicate key N\[1\]"):
             p("N[1]=1;N[1]=2")
+        with pytest.raises(ParseError, match=r"duplicate key N\[3\]"):
+            p("N[03]=1;N[3]=2")
+        with pytest.raises(ParseError, match=r"duplicate key N\[0\]"):
+            p("N[-0]=1;N[0]=1")
         with pytest.raises(ParseError, match="negative count"):
             p("t=-1")
         with pytest.raises(ParseError, match="malformed count"):
@@ -181,6 +185,13 @@ class TestProfileSpecParsing:
             p("t")
         with pytest.raises(ParseError, match="unknown profile key"):
             p("N[a]=1")
+
+    def test_round_trip_on_grid(self):
+        # t, o and N[-2..2] each in {0, 1, 2, inf}: 4 ** 7 = 16 384 profiles.
+        values = (0, 1, 2, "inf")
+        for t, o, *counts in itertools.product(values, repeat=7):
+            prof = InvariantProfile.make(t, o, dict(zip(range(-2, 3), counts)))
+            assert p(cli.profile_spec_string(prof)) == prof
 
     @pytest.mark.parametrize(
         "spec, message",
