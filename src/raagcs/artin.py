@@ -52,8 +52,8 @@ class ExtNat:
 
     The infinite value is ExtNat(None), exported as OMEGA.  It absorbs
     addition and compares above every finite value.  Instances compare
-    equal to plain ints and to the string "inf", so ExtNat(2) == 2 and
-    OMEGA == "inf".
+    equal to plain ints and to the string "inf", and hash as them, so
+    ExtNat(2) == 2 and OMEGA == "inf"; OMEGA != None.
     """
 
     value: int | None = 0
@@ -89,6 +89,8 @@ class ExtNat:
     __radd__ = __add__
 
     def __eq__(self, other: object) -> bool:
+        if other is None:
+            return NotImplemented
         try:
             other = ExtNat.of(other)  # type: ignore[arg-type]
         except TypeError:
@@ -96,7 +98,7 @@ class ExtNat:
         return self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        return hash("inf" if self.value is None else self.value)
 
     def __lt__(self, other: "ExtNat | int") -> bool:
         other = ExtNat.of(other)
@@ -337,9 +339,7 @@ def parse_profile_spec(text: str) -> InvariantProfile:
     be ``inf``); keys may appear at most once and in any order; omitted
     keys are zero.
     """
-    t: ExtNat | None = None
-    o: ExtNat | None = None
-    N: dict[int, ExtNat] = {}
+    counts: dict[str | int, ExtNat] = {}  # "t", "o" or the k of N[k]
     for token in text.split(";"):
         token = token.strip()
         if not token:
@@ -360,24 +360,25 @@ def parse_profile_spec(text: str) -> InvariantProfile:
             raise ParseError(f"negative count in {token!r}")
         else:
             raise ParseError(f"malformed count {value!r} in {token!r}")
+        slot: str | int = key
         if m.group(1) is not None:
-            k = _decimal(m.group(1), "key N[k]")
-            if k in N:
-                raise ParseError(f"duplicate key N[{k}]")
-            N[k] = count
-        elif key == "t":
-            if t is not None:
-                raise ParseError("duplicate key t")
-            t = count
-        else:
-            if o is not None:
-                raise ParseError("duplicate key o")
-            o = count
-    return InvariantProfile.make(
-        t=t if t is not None else 0,
-        o=o if o is not None else 0,
-        N=N,
-    )
+            slot = _decimal(m.group(1), "key N[k]")
+            key = f"N[{slot}]"
+        if slot in counts:
+            raise ParseError(f"duplicate key {key}")
+        counts[slot] = count
+    return InvariantProfile.make(t=counts.pop("t", 0), o=counts.pop("o", 0), N=counts)
+
+
+def profile_spec_string(p: InvariantProfile) -> str:
+    """Canonical profile-spec rendering; inverse of parse_profile_spec."""
+    parts = []
+    if p.t != 0:
+        parts.append(f"t={p.t}")
+    if p.o != 0:
+        parts.append(f"o={p.o}")
+    parts.extend(f"N[{k}]={c}" for k, c in p.N)
+    return ";".join(parts)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .artin import (
     prim_space,
     profile_components,
     profile_of_classes,
+    profile_spec_string,
     semiprojectivity,
     stable_normal_form,
 )
@@ -57,8 +58,10 @@ from .graphs import (
     complement_components,
     enumerate_graphs,
     induced_subgraph,
+    is_graph6_token,
     parse_edge_list,
     parse_graph6,
+    significant_lines,
     to_graph6,
 )
 from .kgraph import (
@@ -73,7 +76,6 @@ from .kgraph import (
 )
 
 GOLDEN_RESOURCE = "five_vertex_census.json"
-GRAPH_OR_PROFILE = ("graph6", "edges", "profile")
 
 
 # ---------------------------------------------------------------- input
@@ -95,32 +97,22 @@ def _read_input(token: str) -> str:
     return token
 
 
-def _graph6_like(token: str) -> bool:
-    body = token.removeprefix(">>graph6<<")
-    return bool(body) and all(63 <= ord(ch) <= 126 for ch in body)
-
-
 def detect_format(text: str) -> str:
     """Guess among profile, dgraph, graph6, and edges."""
-    stripped = text.strip()
-    lines = [raw.split("#", 1)[0].strip() for raw in stripped.splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for _, line in significant_lines(text)]
     if lines and lines[0].startswith("dvertices:"):
         return "dgraph"
     if any("=" in line for line in lines):
         return "profile"
-    tokens = stripped.split()
-    if len(tokens) == 1 and _graph6_like(tokens[0]):
+    tokens = text.split()
+    if len(tokens) == 1 and is_graph6_token(tokens[0]):
         return "graph6"
     return "edges"
 
 
-ParsedInput = tuple[str, Any, list[str]]
-
-
-def _parse_input(token: str, fmt: str | None, allowed: Sequence[str]) -> ParsedInput:
-    """Read and parse one CLI input argument into
-    ('graph'|'profile'|'dgraph', value, warnings)."""
+def _parse_input(token: str, fmt: str | None, allowed: Sequence[str]) -> tuple[Any, list[str]]:
+    """Read and parse one CLI input argument into (value, warnings), the
+    value a graph, a profile or a dgraph."""
     text = _read_input(token)
     fmt = fmt or detect_format(text)
     if fmt not in allowed:
@@ -130,13 +122,13 @@ def _parse_input(token: str, fmt: str | None, allowed: Sequence[str]) -> ParsedI
             + ")"
         )
     if fmt == "profile":
-        return "profile", parse_profile_spec(text), []
+        return parse_profile_spec(text), []
     if fmt == "dgraph":
-        return "dgraph", parse_dgraph(text), []
+        return parse_dgraph(text), []
     with warnings_module.catch_warnings(record=True) as caught:
         warnings_module.simplefilter("always")
         g = parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
-    return "graph", g, [str(w.message) for w in caught]
+    return g, [str(w.message) for w in caught]
 
 
 # ----------------------------------------------------------------- JSON
@@ -181,17 +173,6 @@ def _dumps(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def profile_spec_string(p: InvariantProfile) -> str:
-    """Canonical profile-spec rendering; inverse of parse_profile_spec."""
-    parts = []
-    if p.t != 0:
-        parts.append(f"t={p.t}")
-    if p.o != 0:
-        parts.append(f"o={p.o}")
-    parts.extend(f"N[{k}]={c}" for k, c in p.N)
-    return ";".join(parts)
-
-
 def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     return {
         "kind": "graph",
@@ -201,14 +182,14 @@ def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     }
 
 
-def _to_profile(kind: str, value: Any) -> InvariantProfile:
-    return value if kind == "profile" else invariant_profile(value)
-
-
-def _echo(kind: str, value: Any) -> dict[str, Any]:
-    if kind == "profile":
-        return {"kind": "profile", "spec": profile_spec_string(value)}
-    return _graph_echo(value)
+def _verdict_input(
+    token: str, fmt: str | None
+) -> tuple[InvariantProfile, dict[str, Any], list[str]]:
+    """Read a graph or profile argument into (profile, input echo, warnings)."""
+    value, warns = _parse_input(token, fmt, ("graph6", "edges", "profile"))
+    if isinstance(value, InvariantProfile):
+        return value, {"kind": "profile", "spec": profile_spec_string(value)}, warns
+    return invariant_profile(value), _graph_echo(value), warns
 
 
 # ----------------------------------------------------------------- text
@@ -242,8 +223,7 @@ def nf_human(nf: dict[str, Any]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    kind, value, warns = _parse_input(args.input, args.format, GRAPH_OR_PROFILE)
-    p = _to_profile(kind, value)
+    p, echo, warns = _verdict_input(args.input, args.format)
     if p.is_empty:
         warns = warns + [
             "empty profile: no components, the algebra is the scalars C"
@@ -251,7 +231,7 @@ def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     parts = profile_components(p)
     return {
         "document": "classification",
-        "input": _echo(kind, value),
+        "input": echo,
         "warnings": warns,
         **_verdict_json(p),
         **_algebra_kind_json(p),
@@ -311,13 +291,10 @@ def _text_classify(doc: dict[str, Any]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
-    sides = []
-    for token in (args.left, args.right):
-        kind, value, warns = _parse_input(token, args.format, GRAPH_OR_PROFILE)
-        sides.append((kind, value, warns, _to_profile(kind, value)))
-    doc = {"document": "comparison", **_json(compare(sides[0][3], sides[1][3]))}
-    for tag, (kind, value, warns, p) in zip(("left", "right"), sides):
-        doc[tag] = {"input": _echo(kind, value), "warnings": warns, **_verdict_json(p)}
+    sides = [_verdict_input(token, args.format) for token in (args.left, args.right)]
+    doc = {"document": "comparison", **_json(compare(sides[0][0], sides[1][0]))}
+    for tag, (p, echo, warns) in zip(("left", "right"), sides):
+        doc[tag] = {"input": echo, "warnings": warns, **_verdict_json(p)}
     return doc
 
 
@@ -446,12 +423,11 @@ def _text_enumerate(doc: dict[str, Any]) -> None:
 
 
 def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
-    kind, value, warns = _parse_input(args.input, args.format, GRAPH_OR_PROFILE)
-    p = _to_profile(kind, value)
+    p, echo, warns = _verdict_input(args.input, args.format)
     dg, report = realize(p)
     return {
         "document": "realization",
-        "input": _echo(kind, value),
+        "input": echo,
         "warnings": warns,
         "profile": _json(p),
         "algebra_name": algebra_name(p),
@@ -475,7 +451,7 @@ def _text_realize(doc: dict[str, Any]) -> None:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
-    _, dg, _ = _parse_input(args.input, args.format, ("dgraph",))
+    dg, _ = _parse_input(args.input, args.format, ("dgraph",))
     warns: list[str] = []
     six = None
     if len(dg.sinks) == 1:
@@ -536,7 +512,7 @@ def _text_ktheory(doc: dict[str, Any]) -> None:
 
 
 def cmd_euler(args: argparse.Namespace) -> dict[str, Any]:
-    _, g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
+    g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
     vec = clique_counts(g)
     return {
         "document": "euler",
@@ -561,7 +537,7 @@ def _text_euler(doc: dict[str, Any]) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
-    _, g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
+    g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
     classes = []
     components = []
     for vertices in complement_components(g):

@@ -170,12 +170,21 @@ def parse_count_header(line: str, key: str, cap: int, kind: str, lineno: int) ->
     return int(digits)
 
 
+def significant_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line that holds more than a ``#``
+    comment and blanks, with the comment and the outer blanks stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_edge_list(text: str) -> UndirectedGraph:
     """Parse the line-oriented edge-list format.
 
     An optional leading line ``vertices: <k>`` declares the vertex count
     (the way to get isolated vertices).  Every other significant line names
-    one edge as two whitespace-separated labels; ``#`` starts a comment.
+    one edge as two whitespace-separated labels (``significant_lines``).
     Duplicate edges are deduplicated with a warning; self-loops are errors.
     A declared count or a number of distinct labels above ``EDGE_LIST_MAX``
     raises ``LimitExceeded`` before any vertex is allocated.
@@ -183,10 +192,7 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     index: dict[str, int] = {}
     adj: list[int] = []
     declared: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in significant_lines(text):
         if line.startswith("vertices:"):
             if index:
                 raise ParseError("vertices: header must precede all edges", lineno)
@@ -257,10 +263,20 @@ def _unpack6(data: bytes) -> str:
     return format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[: 6 * len(data)]
 
 
+def is_graph6_token(token: str) -> bool:
+    """Whether a token has graph6's shape: an optional ``>>graph6<<``
+    prefix, then one or more graph6 bytes."""
+    body = token.removeprefix(">>graph6<<")
+    return bool(body) and body.isascii() and not body.encode().translate(None, _G6)
+
+
 def parse_graph6(text: str | bytes) -> UndirectedGraph:
     """Decode one graph6 record with either header; a vertex count above
     ``EDGE_LIST_MAX`` raises ``LimitExceeded`` before the body is read."""
-    raw = text.encode(errors="surrogateescape") if isinstance(text, str) else bytes(text)
+    try:
+        raw = text.encode(errors="surrogateescape") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:  # a surrogate that stands for no byte
+        raise ParseError(f"invalid graph6 character {exc.object[exc.start]!r}") from None
     data = raw.strip().removeprefix(b">>graph6<<")
     if not data:
         raise ParseError("empty graph6 input")

@@ -32,7 +32,7 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, reachable
+from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, reachable, significant_lines
 
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
@@ -72,6 +72,8 @@ class DirectedGraph:
             raise ValueError("vertex count must be nonnegative")
         cleaned = {}
         for (s, t), m in self.edge_mult.items():
+            if not all(type(x) is int for x in (s, t, m)):
+                raise TypeError(f"edge {(s, t)!r} of multiplicity {m!r} holds a non-int")
             if not 0 <= s < self.n or not 0 <= t < self.n:
                 raise ValueError(f"edge ({s}, {t}) out of range")
             if m < 0:
@@ -80,6 +82,8 @@ class DirectedGraph:
                 cleaned[(s, t)] = m
         object.__setattr__(self, "edge_mult", cleaned)
         for v in self.infinite_emitters:
+            if type(v) is not int:
+                raise TypeError(f"infinite emitter {v!r} is not an int")
             if not 0 <= v < self.n:
                 raise ValueError(f"infinite emitter {v} out of range")
 
@@ -119,16 +123,13 @@ def parse_dgraph(text: str) -> DirectedGraph:
 
     The header ``dvertices: <k>`` is mandatory.  Each following line is
     either ``<src> <dst> <multiplicity>`` or ``<v> *`` to flag an infinite
-    emitter; ``#`` starts a comment.  Repeated edge lines add up.  A
+    emitter (``significant_lines``).  Repeated edge lines add up.  A
     declared count above ``DGRAPH_MAX`` raises ``LimitExceeded``.
     """
     n: int | None = None
     mult: dict[tuple[int, int], int] = {}
     emitters: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in significant_lines(text):
         if line.startswith("dvertices:"):
             if n is not None:
                 raise ParseError("repeated dvertices: header", lineno)
@@ -218,7 +219,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("matrix rows must have equal length")
-    W = [[int(x) for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    if any(type(x) is not int for row in a for x in row):
+        raise TypeError("matrix entries must be ints")
+    W = [[*row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     W += [[int(i == j) for j in range(n)] for i in range(n)]
     k = work = 0
     while k < min(m, n):
@@ -334,7 +337,7 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
         k0=k0,
         k1_rank=len(regs) - rank,
         unit_class=coords([sum(row) for row in snf.U]),
-        vertex_class=tuple(coords([row[v] for row in snf.U]) for v in range(n)),
+        vertex_class=tuple(map(coords, zip(*snf.U))),
         regular_vertices=regs,
     )
 

@@ -46,7 +46,13 @@ from raagcs import (
     stable_normal_form,
 )
 from raagcs import artin, cli, graphs as graphs_module
-from raagcs.artin import PROFILE_DIGITS_MAX, TRIVIAL_GROUP, Z_GROUP, profile_of_classes
+from raagcs.artin import (
+    PROFILE_DIGITS_MAX,
+    TRIVIAL_GROUP,
+    Z_GROUP,
+    profile_of_classes,
+    profile_spec_string,
+)
 from conftest import (
     graphs,
     profiles,
@@ -94,6 +100,14 @@ class TestExtNat:
             ExtNat.of(2.5)
         assert ExtNat.of("inf") is OMEGA
         assert ExtNat.of(None) is OMEGA
+
+    def test_hash_agrees_with_inf(self):
+        assert {OMEGA: 1}.get("inf") == 1
+        assert {"inf": 1}.get(OMEGA) == 1
+
+    def test_none_is_not_infinity(self):
+        assert OMEGA != None  # noqa: E711
+        assert not OMEGA == None  # noqa: E711
 
     def test_capped_at_one(self):
         assert ExtNat(0).capped_at_one() == 0
@@ -191,7 +205,7 @@ class TestProfileSpecParsing:
         values = (0, 1, 2, "inf")
         for t, o, *counts in itertools.product(values, repeat=7):
             prof = InvariantProfile.make(t, o, dict(zip(range(-2, 3), counts)))
-            assert p(cli.profile_spec_string(prof)) == prof
+            assert p(profile_spec_string(prof)) == prof
 
     @pytest.mark.parametrize(
         "spec, message",

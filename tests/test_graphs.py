@@ -262,6 +262,9 @@ class TestGraph6:
             parse_graph6("D\udcff")
         with pytest.raises(ParseError, match="invalid graph6 byte 255"):
             parse_graph6("~\udcff??")
+        # A lone surrogate outside U+DC80..U+DCFF stands for no byte.
+        with pytest.raises(ParseError, match="invalid graph6 character"):
+            parse_graph6("D\ud800")
 
     def test_large_header(self):
         # 63 in 18 bits is the sextets 0, 0, 63.

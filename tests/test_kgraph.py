@@ -73,6 +73,12 @@ class TestDirectedGraph:
             DirectedGraph(1, infinite_emitters=frozenset({2}))
         with pytest.raises(ValueError):
             DirectedGraph(-1)
+        for edges in ({(0, 0): 2.5}, {(0, 0): True}, {(0.0, 0): 1}, {(0, False): 1}):
+            with pytest.raises(TypeError, match="holds a non-int"):
+                DirectedGraph(1, edges)
+        for v in (0.0, True):
+            with pytest.raises(TypeError, match="is not an int"):
+                DirectedGraph(1, infinite_emitters=frozenset({v}))
 
 
 def ladder(n: int) -> DirectedGraph:
@@ -288,6 +294,11 @@ class TestSmithNormalForm:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "1", None])
+    def test_non_int_entries_are_type_errors(self, entry):
+        with pytest.raises(TypeError, match="matrix entries must be ints"):
+            smith_normal_form([[1, 0], [0, entry]])
 
     def test_full_rank_product_matches_determinant(self):
         rng = random.Random(17)
