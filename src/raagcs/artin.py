@@ -53,7 +53,8 @@ class ExtNat:
     The infinite value is ExtNat(None), exported as OMEGA.  It absorbs
     addition and compares above every finite value.  Instances compare
     equal to plain ints and to the string "inf", and hash as them, so
-    ExtNat(2) == 2 and OMEGA == "inf"; OMEGA != None.
+    ExtNat(2) == 2 and OMEGA == "inf".  Only ``of`` reads None as OMEGA:
+    OMEGA != None, and ordering or adding with None raises TypeError.
     """
 
     value: int | None = 0
@@ -81,6 +82,8 @@ class ExtNat:
         return self.value is not None
 
     def __add__(self, other: "ExtNat | int") -> "ExtNat":
+        if other is None:
+            return NotImplemented
         other = ExtNat.of(other)
         if self.value is None or other.value is None:
             return OMEGA
@@ -101,6 +104,8 @@ class ExtNat:
         return hash("inf" if self.value is None else self.value)
 
     def __lt__(self, other: "ExtNat | int") -> bool:
+        if other is None:
+            return NotImplemented
         other = ExtNat.of(other)
         if self.value is None:
             return False

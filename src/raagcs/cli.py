@@ -177,7 +177,7 @@ def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     return {
         "kind": "graph",
         "n": g.n,
-        "edges": [[u, v] for u, v in sorted(g.edges)],
+        "edges": g.edge_count,
         "graph6": to_graph6(g),
     }
 
@@ -251,7 +251,7 @@ def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 def _text_classify(doc: dict[str, Any]) -> None:
     echo = doc["input"]
     if echo["kind"] == "graph":
-        print(f"input: graph on {echo['n']} vertices, {len(echo['edges'])} edges ({echo['graph6']})")
+        print(f"input: graph on {echo['n']} vertices, {echo['edges']} edges ({echo['graph6']})")
     else:
         print(f"input: profile {echo['spec'] or '(all zero)'}")
     for w in doc["warnings"]:

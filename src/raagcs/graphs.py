@@ -63,10 +63,19 @@ class UndirectedGraph:
         if len(adj) != n:
             raise ValueError(f"{n} vertices need {n} adjacency rows, got {len(adj)}")
         outside = -1 << n
-        above = 0
         for u, row in enumerate(adj):
             if row & outside or row >> u & 1:
                 raise ValueError(f"adjacency row {u} names itself or a vertex >= {n}")
+        total = sum(row.bit_count() for row in adj)
+        # Each mirror test of the walk below shifts an n-bit row, so it costs
+        # about total * (n + 1024) against 64 * n * (n + 128) for the n * n
+        # characters of the transpose (measured at n = 30 to 2 000).
+        if total * (n + 1024) > 64 * n * (n + 128):
+            if list(adj) != _transpose(n, [format(row, f"0{n}b")[::-1] for row in adj]):
+                raise ValueError("adjacency is not symmetric")
+            return
+        above = 0
+        for u, row in enumerate(adj):
             # Highest bit first: clearing it shrinks the row, which is
             # faster on dense rows than clearing the lowest bit.
             row >>= u + 1
@@ -79,7 +88,7 @@ class UndirectedGraph:
                     raise ValueError(f"adjacency is not symmetric at ({u}, {v})")
         # Every bit above the diagonal has its mirror below it.  With no more
         # bits in all than twice those above, no bit below lacks a mirror.
-        if 2 * above != sum(row.bit_count() for row in adj):
+        if 2 * above != total:
             raise ValueError("adjacency is not symmetric")
 
     @staticmethod
@@ -298,15 +307,24 @@ def parse_graph6(text: str | bytes) -> UndirectedGraph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")
-    bits = _unpack6(body)
-    adj = [0] * n
-    for v in range(1, n):
-        # Column v lists u = 0..v-1; reversed, it is the low v bits of row v.
-        low = int(bits[v * (v - 1) // 2 : v * (v + 1) // 2][::-1], 2)
-        adj[v] |= low
-        for u in _bits(low):
-            adj[u] |= 1 << v
-    return UndirectedGraph(n, tuple(adj))
+    return UndirectedGraph(n, _graph6_rows(n, _unpack6(body)))
+
+
+def _graph6_rows(n: int, bits: str) -> tuple[int, ...]:
+    """The adjacency rows of a graph6 body's bits.  Column v of the upper
+    triangle lists u = 0..v-1 in one slice: it is row v's bits below v,
+    lowest first.  Padded to n, the columns are the rows of the lower
+    triangle, whose transpose holds the rows' bits above the diagonal."""
+    cols = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
+    return tuple(int(col[::-1], 2) | up for col, up in zip(cols, _transpose(n, cols)))
+
+
+def _transpose(n: int, lines: list[str]) -> list[int]:
+    """The column masks of an n x n 0/1 matrix given as n '0'/'1' strings,
+    ``lines[i][j]`` being entry (i, j).  Joined, column j is every n-th
+    character from offset j, so one slice and one ``int(..., 2)`` read it."""
+    text = "".join(lines)
+    return [int(text[j::n][::-1], 2) for j in range(n)]
 
 
 def to_graph6(g: UndirectedGraph) -> str:

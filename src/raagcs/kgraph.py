@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .artin import (
@@ -219,7 +220,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise ValueError("matrix rows must have equal length")
-    if any(type(x) is not int for row in a for x in row):
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
         raise TypeError("matrix entries must be ints")
     W = [[*row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     W += [[int(i == j) for j in range(n)] for i in range(n)]

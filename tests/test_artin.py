@@ -108,6 +108,14 @@ class TestExtNat:
     def test_none_is_not_infinity(self):
         assert OMEGA != None  # noqa: E711
         assert not OMEGA == None  # noqa: E711
+        with pytest.raises(TypeError):
+            ExtNat(1) < None  # noqa: B015
+        with pytest.raises(TypeError):
+            ExtNat(2) + None
+        with pytest.raises(TypeError):
+            None + ExtNat(2)
+        with pytest.raises(TypeError):
+            OMEGA >= None  # noqa: B015
 
     def test_capped_at_one(self):
         assert ExtNat(0).capped_at_one() == 0

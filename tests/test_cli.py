@@ -234,6 +234,20 @@ class TestCompare:
         assert "failed conditions: i" in out
 
 
+class TestInputEcho:
+    @pytest.mark.parametrize("command", ["classify", "compare", "euler", "decompose"])
+    def test_a_graph_is_echoed_as_its_counts_and_graph6(self, capsys, validator, command):
+        token = to_graph6(complete_graph(40))
+        argv = [command, token] + [token] * (command == "compare") + ["--json"]
+        code, doc = run_json(capsys, validator, *argv)
+        assert code == 0
+        echoes = [doc["left"], doc["right"]] if command == "compare" else [doc]
+        for part in echoes:
+            assert part["input"] == {"kind": "graph", "n": 40, "edges": 780, "graph6": token}
+            part["input"]["edges"] = [[0, 1]]
+        assert not validator.is_valid(doc)  # the edge count is no pair list
+
+
 class TestEnumerate:
     def test_four_vertex_census(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "4", "--json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import warnings
 
@@ -45,6 +46,14 @@ from conftest import (
 )
 
 
+def _k12_without(*bits: tuple[int, int]) -> tuple[int, ...]:
+    """The rows of K_12 with bit v of row u cleared for each (u, v)."""
+    rows = list(complete_graph(12).adjacency)
+    for u, v in bits:
+        rows[u] &= ~(1 << v)
+    return tuple(rows)
+
+
 class TestUndirectedGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError):
@@ -65,11 +74,25 @@ class TestUndirectedGraph:
             (2, (-1, 0), "row 0 names itself or a vertex >= 2"),  # bits above n
             (3, (0b010, 0b001), "need 3 adjacency rows, got 2"),
             (1, (0, 0), "need 1 adjacency rows, got 2"),
+            # K_12 less one bit or two: dense enough for the row transpose.
+            (12, _k12_without((5, 0)), "not symmetric"),  # 0 sees 5, not 5 sees 0
+            (12, _k12_without((0, 5)), "not symmetric"),  # 5 sees 0, not 0 sees 5
+            (12, _k12_without((0, 5), (7, 3)), "not symmetric"),  # one each, counts balance
         ],
     )
     def test_rejects_broken_mask_rows(self, n, rows, message):
         with pytest.raises(ValueError, match=message):
             UndirectedGraph(n, rows)
+
+    @pytest.mark.parametrize("p", [0.03, 0.3, 0.7, 1.0])
+    def test_rejects_one_unmirrored_bit_at_any_density(self, p):
+        rng = random.Random(int(100 * p))
+        for n in (2, 12, 40, 90):
+            rows = list(random_graph(rng, n, p).adjacency)
+            u, v = rng.sample(range(n), 2)
+            rows[u] ^= 1 << v
+            with pytest.raises(ValueError, match="not symmetric"):
+                UndirectedGraph(n, tuple(rows))
 
     def test_rejects_an_edge_set_in_place_of_masks(self):
         with pytest.raises(TypeError, match="from_edges"):
@@ -284,10 +307,11 @@ class TestGraph6:
             parse_graph6(record)
 
     def test_matches_a_bitwise_reference_both_ways(self):
+        # Both headers, from the empty graph to the complete one.
         rng = random.Random(61)
-        sizes = [62, 63, 64, 0, 1, 2, 70] + [rng.randint(0, 70) for _ in range(200)]
-        for n in sizes:
-            g = random_graph(rng, n, rng.choice((0.05, 0.3, 0.5, 0.9)))
+        sizes = [62, 63, 64, 0, 1, 2, 70, 130] + [rng.randint(0, 130) for _ in range(40)]
+        for n, p in itertools.product(sizes, (0.0, 0.05, 0.3, 0.5, 0.9, 1.0)):
+            g = random_graph(rng, n, p)
             text = reference_graph6(n, set(g.edges))
             assert to_graph6(g) == text
             assert parse_graph6(text) == g
