@@ -28,11 +28,13 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .euler import euler_characteristic
 from .graphs import (
+    PROFILE_DIGITS_MAX,  # the cap parse_profile_spec applies, importable from here
     LimitExceeded,
     ParseError,
     UndirectedGraph,
     complement_components,
     induced_subgraph,
+    parse_decimal,
 )
 
 DECOMPOSE_ORACLE_MAX = 15
@@ -325,16 +327,6 @@ def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
 
 
 _PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?[0-9]+)\])$")
-# Most digits of a profile count or N[k] key: 300 under Python's default
-# 4 300-digit int-string limit, so every 1 + |k| and every sum of counts prints.
-PROFILE_DIGITS_MAX = 4_000
-
-
-def _decimal(digits: str, what: str) -> int:
-    size = len(digits.lstrip("-"))
-    if size > PROFILE_DIGITS_MAX:
-        raise ParseError(f"{what} too long: {size} digits, over {PROFILE_DIGITS_MAX}")
-    return int(digits)
 
 
 def parse_profile_spec(text: str) -> InvariantProfile:
@@ -360,14 +352,14 @@ def parse_profile_spec(text: str) -> InvariantProfile:
         if value == "inf":
             count = OMEGA
         elif value.isascii() and value.isdigit():
-            count = ExtNat(_decimal(value, "count"))
+            count = ExtNat(parse_decimal(value, "count"))
         elif value.startswith("-") and value[1:].isascii() and value[1:].isdigit():
             raise ParseError(f"negative count in {token!r}")
         else:
             raise ParseError(f"malformed count {value!r} in {token!r}")
         slot: str | int = key
         if m.group(1) is not None:
-            slot = _decimal(m.group(1), "key N[k]")
+            slot = parse_decimal(m.group(1), "key N[k]")
             key = f"N[{slot}]"
         if slot in counts:
             raise ParseError(f"duplicate key {key}")
@@ -510,25 +502,25 @@ def algebra_name(p: InvariantProfile) -> str:
     factor.  The empty profile renders "C".
     """
     nf = normal_form(p)
-    groups: list[tuple[str, ExtNat]] = []
+    groups: list[tuple[ComponentClass, ExtNat]] = []
     if nf.t != 0:
-        groups.append(("T", nf.t))
+        groups.append((Toeplitz(), nf.t))
     if p.o.capped_at_one():
-        groups.append(("O_inf", ExtNat(1)))
+        groups.append((InfiniteComp(), ExtNat(1)))
     if nf.z != 0:
-        groups.append(("E_1^0", nf.z))
+        groups.append((FiniteExt(0), nf.z))
     flip = nf.parity == 1
     for n, count in nf.M:
         if flip:
-            groups.append((f"E_{1 + n}^-1", ExtNat(1)))
+            groups.append((FiniteExt(-n), ExtNat(1)))
             flip = False
             count = ExtNat(count.value - 1)  # parity defined, so finite
             if count == 0:
                 continue
-        groups.append((f"E_{1 + n}^+1", count))
+        groups.append((FiniteExt(n), count))
     if not groups:
         return "C"
-    return " ⊗ ".join(_render_power(name, count) for name, count in groups)
+    return " ⊗ ".join(_render_power(component_name(c), count) for c, count in groups)
 
 
 @dataclass(frozen=True)

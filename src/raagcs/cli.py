@@ -30,6 +30,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .artin import (
+    NOT_SEMIPROJECTIVE,
+    SEMIPROJECTIVE,
+    UNKNOWN,
     AbGroup,
     ExtNat,
     InvariantProfile,
@@ -51,7 +54,6 @@ from .artin import (
 )
 from .euler import clique_counts
 from .graphs import (
-    ENUMERATE_MAX,
     LimitExceeded,
     ParseError,
     UndirectedGraph,
@@ -76,6 +78,8 @@ from .kgraph import (
 )
 
 GOLDEN_RESOURCE = "five_vertex_census.json"
+# The order the text census lists the tally in.
+SEMIPROJECTIVITY_VERDICTS = (SEMIPROJECTIVE, NOT_SEMIPROJECTIVE, UNKNOWN)
 
 
 # ---------------------------------------------------------------- input
@@ -311,11 +315,11 @@ def _text_compare(doc: dict[str, Any]) -> None:
 # ------------------------------------------------------------ enumerate
 
 
-def build_census(n: int, limit: int = ENUMERATE_MAX) -> list[dict[str, Any]]:
+def build_census(n: int) -> list[dict[str, Any]]:
     """Classification rows for all isomorphism classes on n vertices,
     sorted by canonical graph6 string."""
     rows = []
-    for g in enumerate_graphs(n, limit=limit):
+    for g in enumerate_graphs(n):
         p = invariant_profile(g)
         rows.append(
             {
@@ -329,7 +333,7 @@ def build_census(n: int, limit: int = ENUMERATE_MAX) -> list[dict[str, Any]]:
 
 
 def _census_doc(n: int, rows: list[dict[str, Any]]) -> dict[str, Any]:
-    tally = {"Semiprojective": 0, "NotSemiprojective": 0, "Unknown": 0}
+    tally = dict.fromkeys(SEMIPROJECTIVITY_VERDICTS, 0)
     for row in rows:
         tally[row["semiprojectivity"]["verdict"]] += 1
     freeze: Callable[[Any], Any] = lambda v: json.dumps(v, sort_keys=True)
@@ -384,7 +388,7 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     if args.n < 0:
         raise ParseError(f"n must be nonnegative, got {args.n}")
-    doc = _census_doc(args.n, build_census(args.n, limit=args.limit))
+    doc = _census_doc(args.n, build_census(args.n))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())
         doc["golden"] = {"match": not problems, "mismatches": problems}
@@ -407,12 +411,8 @@ def _text_enumerate(doc: dict[str, Any]) -> None:
     print(f"distinct stable normal forms: {doc['distinct_stable_normal_forms']}")
     print(f"graph algebras: {doc['graph_algebra_count']}")
     tally = doc["semiprojectivity_tally"]
-    print(
-        "semiprojectivity: "
-        f"{tally['Semiprojective']} Semiprojective, "
-        f"{tally['NotSemiprojective']} NotSemiprojective, "
-        f"{tally['Unknown']} Unknown"
-    )
+    counts = ", ".join(f"{tally[v]} {v}" for v in SEMIPROJECTIVITY_VERDICTS)
+    print(f"semiprojectivity: {counts}")
     if "golden" in doc:
         for problem in doc["golden"]["mismatches"]:
             print(f"golden mismatch: {problem}")
@@ -613,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="classify all isomorphism classes on n vertices"
     )
     c.add_argument("n", type=int)
-    c.add_argument(
-        "--limit",
-        type=int,
-        default=ENUMERATE_MAX,
-        help="raise or lower the vertex cap (default %(default)s)",
-    )
     c.add_argument(
         "--golden",
         action="store_true",

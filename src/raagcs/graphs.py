@@ -179,6 +179,21 @@ def parse_count_header(line: str, key: str, cap: int, kind: str, lineno: int) ->
     return int(digits)
 
 
+# Most digits past leading zeros of a profile count, an N[k] key or a dgraph
+# multiplicity: 300 under Python's default 4 300-digit int-string limit, so
+# every 1 + |k| and every sum of counts prints.
+PROFILE_DIGITS_MAX = 4_000
+
+
+def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
+    """The int of ASCII digits after an optional ``-``, leading zeros free,
+    or a ``ParseError`` naming ``what`` past ``PROFILE_DIGITS_MAX`` digits."""
+    body = digits.removeprefix("-").lstrip("0") or "0"
+    if len(body) > PROFILE_DIGITS_MAX:
+        raise ParseError(f"{what} too long: {len(body)} digits, over {PROFILE_DIGITS_MAX}", line)
+    return -int(body) if digits.startswith("-") else int(body)
+
+
 def significant_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number from 1, line) for each line that holds more than a ``#``
     comment and blanks, with the comment and the outer blanks stripped."""
@@ -475,7 +490,7 @@ def canonical_form(g: UndirectedGraph) -> bytes:
     return bytes([63 + n]) + _pack6(bits)
 
 
-def enumerate_graphs(n: int, limit: int = ENUMERATE_MAX) -> list[UndirectedGraph]:
+def enumerate_graphs(n: int) -> list[UndirectedGraph]:
     """One canonical representative per isomorphism class on n vertices.
 
     Orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
@@ -490,8 +505,8 @@ def enumerate_graphs(n: int, limit: int = ENUMERATE_MAX) -> list[UndirectedGraph
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise LimitExceeded(f"enumeration is capped at n <= {limit}, got {n}")
+    if n > ENUMERATE_MAX:
+        raise LimitExceeded(f"enumeration is capped at n <= {ENUMERATE_MAX}, got {n}")
     # Adjacency rows and identity-order columns of each canonical graph.
     level: list[tuple[tuple[int, ...], list[int]]] = [((), [])]
     for k in range(1, n + 1):

@@ -16,6 +16,8 @@ it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -33,7 +35,7 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, reachable, significant_lines
+from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, parse_decimal, reachable, significant_lines
 
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
@@ -148,12 +150,8 @@ def parse_dgraph(text: str) -> DirectedGraph:
             raise ParseError("expected '<src> <dst> <mult>' or '<v> *'", lineno)
         if not all(x.isascii() and x.isdigit() for x in parts):
             raise ParseError(f"non-integer or negative field in {line!r}", lineno)
-        s, t, m = parts
-        s, t = (_vertex_field(x, n, "edge endpoint", lineno) for x in (s, t))
-        try:
-            mult[s, t] = mult.get((s, t), 0) + int(m)
-        except ValueError:  # more digits than int() takes
-            raise ParseError(f"multiplicity too long: {len(m)} digits", lineno) from None
+        s, t = (_vertex_field(x, n, "edge endpoint", lineno) for x in parts[:2])
+        mult[s, t] = mult.get((s, t), 0) + parse_decimal(parts[2], "multiplicity", lineno)
     if n is None:
         raise ParseError("missing dvertices: header")
     return DirectedGraph(n, mult, frozenset(emitters))
@@ -161,12 +159,14 @@ def parse_dgraph(text: str) -> DirectedGraph:
 
 def _vertex_field(x: str, n: int, what: str, lineno: int) -> int:
     """An ASCII-digit vertex field, checked against the vertex count."""
+    digits = x.lstrip("0") or "0"
     # The length test keeps int() off digit strings it refuses.
-    if len(x.lstrip("0")) > len(str(n)):
+    if len(digits) > len(str(n)):
         raise ParseError(f"{what} of {len(x)} digits out of range", lineno)
-    if int(x) >= n:
-        raise ParseError(f"{what} {int(x)} out of range for {n} vertices", lineno)
-    return int(x)
+    v = int(digits)
+    if v >= n:
+        raise ParseError(f"{what} {v} out of range for {n} vertices", lineno)
+    return v
 
 
 def format_dgraph(dg: DirectedGraph) -> str:
@@ -334,25 +334,40 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
         return tors + free
 
     # U maps the unit (all ones) to its row sums and vertex v to column v.
+    unit = coords([sum(row) for row in snf.U])
+    vertex = tuple(map(coords, zip(*snf.U)))
+    # Every int of the report must print.  A limit of 0 means none, as on a
+    # Python older than the call; an int of at most 3 * limit bits is below
+    # 8 ** limit, so 10 ** limit is built only for a wider one.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    widest = max(map(abs, chain(k0.torsion, unit, *vertex)), default=0)
+    if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
+        digits = int(math.log10(widest))  # off by at most one
+        digits += (widest >= 10**digits) + (widest >= 10 ** (digits + 1))
+        raise LimitExceeded(
+            f"K-theory integers are capped at {limit} digits (Python's int-to-string "
+            f"limit), got one of {digits} digits on a {n}-vertex dgraph"
+        )
     return KTheoryReport(
         k0=k0,
         k1_rank=len(regs) - rank,
-        unit_class=coords([sum(row) for row in snf.U]),
-        vertex_class=tuple(map(coords, zip(*snf.U))),
+        unit_class=unit,
+        vertex_class=vertex,
         regular_vertices=regs,
     )
 
 
 @dataclass(frozen=True)
 class SixTermCheck:
-    """K-theory of a graph with one sink, of the sink's quotient graph, and
-    the integer kappa with [p_sink] = kappa * [unit] when K0 is the
-    integers with the unit a generator."""
+    """K-theory of a graph with one sink, the sink's quotient graph and its
+    K-theory, and the integer kappa with [p_sink] = kappa * [unit] when K0
+    is the integers with the unit a generator."""
 
     sink: int
     full: KTheoryReport
     quotient: KTheoryReport
     kappa: int | None
+    quotient_graph: DirectedGraph
 
 
 def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
@@ -388,7 +403,9 @@ def sink_ideal_analysis(dg: DirectedGraph) -> SixTermCheck:
     kappa = None
     if full.unit_is_generator:
         kappa = full.vertex_class[w][0] * full.unit_class[0]
-    return SixTermCheck(sink=w, full=full, quotient=graph_ktheory(quotient), kappa=kappa)
+    return SixTermCheck(
+        sink=w, full=full, quotient=graph_ktheory(quotient), kappa=kappa, quotient_graph=quotient
+    )
 
 
 def _strong_component(dg: DirectedGraph, v: int, allowed: int) -> int:
@@ -504,6 +521,10 @@ def realize(p: InvariantProfile) -> tuple[DirectedGraph, RealizationReport]:
     return dg, report
 
 
+def _holds(ok: bool) -> str:
+    return "holds" if ok else "fails"
+
+
 def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationReport:
     """Check a directed graph against a single-factor profile's K-theory.
 
@@ -511,7 +532,11 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
     and K1 of the full algebra always; then, for a component with an index
     value, a unique well-placed sink whose class is the index value times
     the unit and whose quotient graph carries the quotient K-theory, and
-    for one without, no sink plus condition (K).
+    for one without, no sink plus condition (K).  T and E_1^0 agree on all
+    of that, so the quotient graph's condition (K) tells them apart: T's
+    quotient C(T) is one loop, which fails it, while an E factor's quotient
+    is purely infinite and simple, so its graph is cofinal with condition
+    (L), which gives (K) (Kumjian, Pask, Raeburn and Renault, 1997).
     """
     factor = _single_factor(p)
     if factor is None:
@@ -564,6 +589,14 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
                 "quotient_k1",
                 six.quotient.k1 == want.k1_quotient,
                 f"quotient K1 rank = {six.quotient.k1_rank}, want {want.k1_quotient.free_rank}",
+            )
+        )
+        got_k, want_k = condition_k(six.quotient_graph), not isinstance(factor, Toeplitz)
+        checks.append(
+            CheckRow(
+                "quotient_condition_k",
+                got_k == want_k,
+                f"quotient condition (K) {_holds(got_k)}, want {_holds(want_k)}",
             )
         )
     return RealizationReport(

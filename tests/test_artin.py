@@ -250,6 +250,14 @@ class TestProfileSpecParsing:
         with pytest.raises(ParseError, match=rf"^key N\[k\] too long: {over}$"):
             p(f"N[-{top}9]=1")
 
+    def test_leading_zeros_do_not_count_toward_the_cap(self):
+        pad = "0" * (PROFILE_DIGITS_MAX + 500)
+        assert p(f"t={pad}2;N[{pad}7]={pad}1;N[-{pad}5]=3") == InvariantProfile.make(
+            t=2, N={7: 1, -5: 3}
+        )
+        with pytest.raises(ParseError, match="duplicate key N\\[0\\]"):
+            p(f"N[-{pad}]=1;N[0]=1")
+
 
 class TestDecompose:
     def test_complete_graph_splits_into_singletons(self):

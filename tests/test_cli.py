@@ -294,11 +294,20 @@ class TestEnumerate:
         assert code == 3
         assert "capped" in err
 
-    def test_limit_flag_raises_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "enumerate", "3", "--limit", "3")
-        assert code == 0
-        code, _, _ = run_cli(capsys, "enumerate", "4", "--limit", "3")
+    def test_no_flag_raises_cap(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "9", "--limit", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --limit 9" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--help"])
+        assert "--limit" not in capsys.readouterr().out
+        # The cap is read when enumeration runs, so the constant moves it.
+        monkeypatch.setattr(graphs, "ENUMERATE_MAX", 3)
+        assert run_cli(capsys, "enumerate", "3")[0] == 0
+        code, _, err = run_cli(capsys, "enumerate", "4")
         assert code == 3
+        assert err == "error: enumeration is capped at n <= 3, got 4\n"
 
     def test_human_table(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "3")

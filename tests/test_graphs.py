@@ -466,10 +466,12 @@ class TestEnumeration:
             canonical_form(g).decode("ascii") == key for g, key in zip(gs, keys)
         )
 
-    def test_cap(self):
-        with pytest.raises(LimitExceeded):
+    def test_cap(self, monkeypatch):
+        with pytest.raises(LimitExceeded, match="capped at n <= 8, got 9"):
             enumerate_graphs(9)
-        with pytest.raises(LimitExceeded):
-            enumerate_graphs(4, limit=3)
+        monkeypatch.setattr("raagcs.graphs.ENUMERATE_MAX", 3)
+        assert len(enumerate_graphs(3)) == 4
+        with pytest.raises(LimitExceeded, match="capped at n <= 3, got 4"):
+            enumerate_graphs(4)
         with pytest.raises(ValueError):
             enumerate_graphs(-1)

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from raagcs import (
     verify_realization,
 )
 import raagcs.kgraph as kgraph
-from raagcs.artin import TRIVIAL_GROUP, Z_GROUP
+from raagcs.artin import PROFILE_DIGITS_MAX, TRIVIAL_GROUP, Z_GROUP
 from raagcs.cli import main as cli_main
 from raagcs.graphs import LimitExceeded
 from raagcs.kgraph import DGRAPH_MAX, strongly_connected_regular
@@ -199,6 +200,7 @@ class TestDgraphFormat:
             ("dvertices: 2\n00 0001 1\n1 01 1\n2 0 1\n", "line 4: edge endpoint 2 out"),
             ("dvertices: 2\n0 " + "9" * 5000 + " 1\n", "line 2: edge endpoint of 5000 digits"),
             ("dvertices: 2\n0 1 " + "9" * 5000 + "\n", "line 2: multiplicity too long"),
+            ("dvertices: 2\n0 1 1\n0 1 " + "9" * 4001 + "\n", "line 3: multiplicity too long: 4001 digits, over 4000$"),
             ("dvertices: 2\n0 0 1\n5 *\n", "line 3: infinite emitter 5 out of range"),
         ],
     )
@@ -210,6 +212,22 @@ class TestDgraphFormat:
         dg = parse_dgraph("dvertices: 2\n00 0001 02\n001 *\n")
         assert dg.edge_mult == {(0, 1): 2}
         assert dg.infinite_emitters == frozenset({1})
+        pad = "0" * 5000
+        assert parse_dgraph(f"dvertices: 2\n{pad}1 *\n").infinite_emitters == frozenset({1})
+        assert parse_dgraph(f"dvertices: 2\n0 {pad}1 3\n").edge_mult == {(0, 1): 3}
+
+    def test_multiplicities_share_the_profile_digit_cap(self):
+        top = "9" * PROFILE_DIGITS_MAX
+        # Leading zeros are free, and lines at the cap sum to a printable int.
+        dg = parse_dgraph(f"dvertices: 2\n0 0 {'0' * 5000}3\n0 1 {top}\n0 1 {top}\n")
+        assert dg.edge_mult == {(0, 0): 3, (0, 1): 2 * int(top)}
+        assert str(dg.edge_mult[0, 1]) == "1" + top[:-1] + "8"
+
+    def test_two_lines_past_the_cap_are_exit_2(self, capsys):
+        # Each of 4 300 digits, int() reads them, but their sum would not print.
+        line = "0 0 " + "9" * 4300 + "\n"
+        assert cli_main(["ktheory", "dvertices: 2\n" + line + line]) == 2
+        assert capsys.readouterr().err == "error: line 2: multiplicity too long: 4300 digits, over 4000\n"
 
     def test_declared_count_at_the_cap(self):
         assert parse_dgraph(f"dvertices: {DGRAPH_MAX}\n").n == DGRAPH_MAX
@@ -480,6 +498,40 @@ class TestSmithBudget:
         assert len(calls) == 1
 
 
+def wide_cycle(n: int = 100, m: int = 10**50) -> str:
+    """The n-cycle with multiplicity m: K0 = Z/(m^n - 1), of 5 000 digits
+    by default, past Python's default int-to-string limit."""
+    return f"dvertices: {n}\n" + "".join(f"{v} {(v + 1) % n} {m}\n" for v in range(n))
+
+
+class TestIntStringLimit:
+    def test_library_raises_past_the_limit(self, monkeypatch):
+        dg = parse_dgraph(wide_cycle())
+        limit = sys.get_int_max_str_digits()
+        message = rf"^K-theory integers are capped at {limit} digits .* got one of 5000 digits on a 100-vertex dgraph$"
+        with pytest.raises(LimitExceeded, match=message):
+            graph_ktheory(dg)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        assert graph_ktheory(dg).k0 == AbGroup(0, (10**5000 - 1,))
+
+    def test_exactly_at_the_limit(self):
+        # One vertex with m + 1 loops has K0 = Z/m.
+        limit = sys.get_int_max_str_digits()
+        assert str(graph_ktheory(DirectedGraph(1, {(0, 0): 10**limit})).k0) == f"Z/{'9' * limit}"
+        with pytest.raises(LimitExceeded, match=f"got one of {limit + 1} digits on a 1-vertex"):
+            graph_ktheory(DirectedGraph(1, {(0, 0): 10**limit + 1}))
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_cli_is_exit_3(self, capsys, mode):
+        assert cli_main(["ktheory", wide_cycle(), *mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: K-theory integers are capped at ")
+        # Class coordinates of 4 001 digits are under the limit and print.
+        assert cli_main(["realize", f"N[-{'9' * PROFILE_DIGITS_MAX}]=1", *mode]) == 0
+        assert "1" + "0" * PROFILE_DIGITS_MAX in capsys.readouterr().out
+
+
 class TestSinkIdealAnalysis:
     def test_toeplitz_shape(self):
         six = sink_ideal_analysis(DirectedGraph(2, {(0, 0): 1, (0, 1): 1}))
@@ -668,6 +720,22 @@ class TestVerifyRealization:
         assert minus.strongly_connected_regular
         assert not plus.strongly_connected_regular
 
+    @pytest.mark.parametrize("source, target", [("t=1", "N[0]=1"), ("N[0]=1", "t=1")])
+    def test_quotient_condition_k_tells_t_from_e_1_0(self, source, target):
+        # T and E_1^0 agree on every six-term row, yet are not isomorphic:
+        # T's quotient graph is one loop, E_1^0's satisfies condition (K).
+        dg, _ = realize(p(source))
+        failed = [c for c in verify_realization(dg, p(target)).checks if not c.ok]
+        assert [c.name for c in failed] == ["quotient_condition_k"]
+        want = "holds" if target == "N[0]=1" else "fails"
+        assert failed[0].detail.endswith(f", want {want}")
+
+    def test_every_extension_target_passes_the_quotient_row(self):
+        for spec in ["t=1"] + [f"N[{k}]=1" for k in range(-30, 31)]:
+            (row,) = [c for c in realize(p(spec))[1].checks if c.name == "quotient_condition_k"]
+            assert row.ok
+        assert all(c.name != "quotient_condition_k" for c in realize(p("o=1"))[1].checks)
+
 
 def block_dgraph(rng: random.Random, n: int, sinks: int, emitters: int) -> str:
     """dgraph text shaped like the benchmark's ``ktheory`` inputs: strongly
@@ -716,4 +784,4 @@ class TestOutputBytes:
     def test_realize_json_on_single_factors(self, capsys):
         specs = ["t=1", "o=1"] + [f"N[{k}]=1" for k in range(-30, 31)]
         argvs = [["realize", spec, "--json"] for spec in specs]
-        assert self.digest(capsys, argvs) == "0bc2abc12a1d5129"
+        assert self.digest(capsys, argvs) == "f22b1434383879b0"
