@@ -34,6 +34,7 @@ from .artin import (
     SEMIPROJECTIVE,
     UNKNOWN,
     AbGroup,
+    ComponentClass,
     ExtNat,
     InvariantProfile,
     algebra_name,
@@ -61,6 +62,7 @@ from .graphs import (
     enumerate_graphs,
     induced_subgraph,
     is_graph6_token,
+    parse_decimal,
     parse_edge_list,
     parse_graph6,
     significant_lines,
@@ -114,17 +116,14 @@ def detect_format(text: str) -> str:
     return "edges"
 
 
-def _parse_input(token: str, fmt: str | None, allowed: Sequence[str]) -> tuple[Any, list[str]]:
-    """Read and parse one CLI input argument into (value, warnings), the
-    value a graph, a profile or a dgraph."""
+def _parse_input(token: str, args: argparse.Namespace) -> tuple[Any, list[str]]:
+    """Read and parse one CLI input argument, in one of the subcommand's
+    ``args.formats``, into (value, warnings): a graph, a profile or a dgraph."""
     text = _read_input(token)
-    fmt = fmt or detect_format(text)
-    if fmt not in allowed:
-        raise ParseError(
-            f"input format {fmt!r} is not usable here (expected one of "
-            + ", ".join(allowed)
-            + ")"
-        )
+    fmt = args.format or detect_format(text)
+    if fmt not in args.formats:
+        expected = ", ".join(args.formats)
+        raise ParseError(f"input format {fmt!r} is not usable here (expected one of {expected})")
     if fmt == "profile":
         return parse_profile_spec(text), []
     if fmt == "dgraph":
@@ -173,10 +172,6 @@ def _algebra_kind_json(p: InvariantProfile) -> dict[str, Any]:
     }
 
 
-def _dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
     return {
         "kind": "graph",
@@ -187,13 +182,18 @@ def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
 
 
 def _verdict_input(
-    token: str, fmt: str | None
+    token: str, args: argparse.Namespace
 ) -> tuple[InvariantProfile, dict[str, Any], list[str]]:
     """Read a graph or profile argument into (profile, input echo, warnings)."""
-    value, warns = _parse_input(token, fmt, ("graph6", "edges", "profile"))
+    value, warns = _parse_input(token, args)
     if isinstance(value, InvariantProfile):
         return value, {"kind": "profile", "spec": profile_spec_string(value)}, warns
     return invariant_profile(value), _graph_echo(value), warns
+
+
+def _component_json(cls: ComponentClass) -> dict[str, Any]:
+    """A component class's name and chi (None unless it is a FiniteExt)."""
+    return {"class": component_name(cls), "chi": getattr(cls, "chi", None)}
 
 
 # ----------------------------------------------------------------- text
@@ -227,7 +227,7 @@ def nf_human(nf: dict[str, Any]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    p, echo, warns = _verdict_input(args.input, args.format)
+    p, echo, warns = _verdict_input(args.input, args)
     if p.is_empty:
         warns = warns + [
             "empty profile: no components, the algebra is the scalars C"
@@ -240,12 +240,7 @@ def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
         **_verdict_json(p),
         **_algebra_kind_json(p),
         "components": [
-            {
-                "class": component_name(cls),
-                "count": _json(count),
-                "chi": getattr(cls, "chi", None),
-            }
-            for cls, count in parts
+            {**_component_json(cls), "count": _json(count)} for cls, count in parts
         ],
         "ktheory": [_json(component_ktheory(cls)) for cls, _ in parts],
         "prim_space": _json(prim_space(p)),
@@ -295,7 +290,7 @@ def _text_classify(doc: dict[str, Any]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
-    sides = [_verdict_input(token, args.format) for token in (args.left, args.right)]
+    sides = [_verdict_input(token, args) for token in (args.left, args.right)]
     doc = {"document": "comparison", **_json(compare(sides[0][0], sides[1][0]))}
     for tag, (p, echo, warns) in zip(("left", "right"), sides):
         doc[tag] = {"input": echo, "warnings": warns, **_verdict_json(p)}
@@ -361,34 +356,34 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
     problems = []
     if doc["n"] != golden["n"]:
         return [f"golden data covers n = {golden['n']}, not n = {doc['n']}"]
-    actual = {row["graph6"]: row for row in doc["classes"]}
+    # Each census row projected onto the golden fields, in the order checked.
+    actual = {
+        row["graph6"]: {
+            "profile": row["profile"],
+            "algebra_name": row["algebra_name"],
+            "graph_algebra": row["graph_algebra"]["value"],
+            "semiprojectivity": row["semiprojectivity"]["verdict"],
+        }
+        for row in doc["classes"]
+    }
     expected = golden["classes"]
-    for key in sorted(set(expected) - set(actual)):
+    for key in sorted(expected.keys() - actual.keys()):
         problems.append(f"missing class {key}")
-    for key in sorted(set(actual) - set(expected)):
+    for key in sorted(actual.keys() - expected.keys()):
         problems.append(f"unexpected class {key}")
-    for key in sorted(set(actual) & set(expected)):
-        a, e = actual[key], expected[key]
-        pairs = [
-            ("profile", a["profile"], e["profile"]),
-            ("algebra_name", a["algebra_name"], e["algebra_name"]),
-            ("graph_algebra", a["graph_algebra"]["value"], e["graph_algebra"]),
-            (
-                "semiprojectivity",
-                a["semiprojectivity"]["verdict"],
-                e["semiprojectivity"],
-            ),
-        ]
-        for field, got, want in pairs:
+    for key in sorted(actual.keys() & expected.keys()):
+        for field, got in actual[key].items():
+            want = expected[key][field]
             if got != want:
                 problems.append(f"{key}: {field} = {got!r}, golden has {want!r}")
     return problems
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
-    if args.n < 0:
-        raise ParseError(f"n must be nonnegative, got {args.n}")
-    doc = _census_doc(args.n, build_census(args.n))
+    n = parse_decimal(args.n, "n")
+    if n < 0:
+        raise ParseError(f"n must be nonnegative, got {n}")
+    doc = _census_doc(n, build_census(n))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())
         doc["golden"] = {"match": not problems, "mismatches": problems}
@@ -423,7 +418,7 @@ def _text_enumerate(doc: dict[str, Any]) -> None:
 
 
 def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
-    p, echo, warns = _verdict_input(args.input, args.format)
+    p, echo, warns = _verdict_input(args.input, args)
     dg, report = realize(p)
     return {
         "document": "realization",
@@ -451,7 +446,7 @@ def _text_realize(doc: dict[str, Any]) -> None:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
-    dg, _ = _parse_input(args.input, args.format, ("dgraph",))
+    dg, _ = _parse_input(args.input, args)
     warns: list[str] = []
     six = None
     if len(dg.sinks) == 1:
@@ -512,7 +507,7 @@ def _text_ktheory(doc: dict[str, Any]) -> None:
 
 
 def cmd_euler(args: argparse.Namespace) -> dict[str, Any]:
-    g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
+    g, warns = _parse_input(args.input, args)
     vec = clique_counts(g)
     return {
         "document": "euler",
@@ -537,7 +532,7 @@ def _text_euler(doc: dict[str, Any]) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
-    g, warns = _parse_input(args.input, args.format, ("graph6", "edges"))
+    g, warns = _parse_input(args.input, args)
     classes = []
     components = []
     for vertices in complement_components(g):
@@ -545,12 +540,7 @@ def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
         cls = classify_component(sub)
         classes.append(cls)
         components.append(
-            {
-                "vertices": list(vertices),
-                "graph6": to_graph6(sub),
-                "class": component_name(cls),
-                "chi": getattr(cls, "chi", None),
-            }
+            {"vertices": list(vertices), "graph6": to_graph6(sub), **_component_json(cls)}
         )
     p = profile_of_classes(classes)
     return {
@@ -589,59 +579,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
+    verdict_formats = ("graph6", "edges", "profile")
+    graph_formats = ("graph6", "edges")
+
+    def common(
+        p: argparse.ArgumentParser, formats: tuple[str, ...], func: Callable, text: Callable
+    ) -> None:
+        """``--json``, ``--format`` over the formats the subcommand reads (none
+        for ``()``), and the command and text renderer it runs."""
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if with_format:
+        if formats:
             p.add_argument(
                 "--format",
-                choices=("edges", "graph6", "profile", "dgraph"),
+                choices=formats,
                 help="force the input format instead of auto-detecting",
             )
+        p.set_defaults(formats=formats, func=func, text=text)
 
     c = sub.add_parser("classify", help="full verdict for a graph or profile")
     c.add_argument("input", help="file, inline text, or - for stdin")
-    common(c)
-    c.set_defaults(func=cmd_classify, text=_text_classify)
+    common(c, verdict_formats, cmd_classify, _text_classify)
 
     c = sub.add_parser("compare", help="decide isomorphism of two inputs")
     c.add_argument("left")
     c.add_argument("right")
-    common(c)
-    c.set_defaults(func=cmd_compare, text=_text_compare)
+    common(c, verdict_formats, cmd_compare, _text_compare)
 
     c = sub.add_parser(
         "enumerate", help="classify all isomorphism classes on n vertices"
     )
-    c.add_argument("n", type=int)
+    c.add_argument("n")
     c.add_argument(
         "--golden",
         action="store_true",
         help="check the result against the shipped five-vertex table",
     )
-    common(c, with_format=False)
-    c.set_defaults(func=cmd_enumerate, text=_text_enumerate)
+    common(c, (), cmd_enumerate, _text_enumerate)
 
     c = sub.add_parser(
         "realize", help="directed graph realizing a profile's algebra"
     )
     c.add_argument("input")
-    common(c)
-    c.set_defaults(func=cmd_realize, text=_text_realize)
+    common(c, verdict_formats, cmd_realize, _text_realize)
 
     c = sub.add_parser("ktheory", help="K-theory of a directed graph")
     c.add_argument("input")
-    common(c)
-    c.set_defaults(func=cmd_ktheory, text=_text_ktheory)
+    common(c, ("dgraph",), cmd_ktheory, _text_ktheory)
 
     c = sub.add_parser("euler", help="clique counts and Euler characteristic")
     c.add_argument("input")
-    common(c)
-    c.set_defaults(func=cmd_euler, text=_text_euler)
+    common(c, graph_formats, cmd_euler, _text_euler)
 
     c = sub.add_parser("decompose", help="co-irreducible components")
     c.add_argument("input")
-    common(c)
-    c.set_defaults(func=cmd_decompose, text=_text_decompose)
+    common(c, graph_formats, cmd_decompose, _text_decompose)
 
     return parser
 
@@ -666,7 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"not implemented: {exc}", file=sys.stderr)
         return 5
     if args.json:
-        print(_dumps(doc), end="")
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         args.text(doc)
     return 6 if "golden" in doc and not doc["golden"]["match"] else 0

@@ -186,9 +186,12 @@ PROFILE_DIGITS_MAX = 4_000
 
 
 def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
-    """The int of ASCII digits after an optional ``-``, leading zeros free,
-    or a ``ParseError`` naming ``what`` past ``PROFILE_DIGITS_MAX`` digits."""
-    body = digits.removeprefix("-").lstrip("0") or "0"
+    """The int of ASCII digits after an optional ``-``, leading zeros free, or a
+    ``ParseError`` naming ``what`` for other text or past ``PROFILE_DIGITS_MAX`` digits."""
+    body = digits.removeprefix("-")
+    if not (body.isascii() and body.isdigit()):
+        raise ParseError(f"bad {what} {digits!r}", line)
+    body = body.lstrip("0") or "0"
     if len(body) > PROFILE_DIGITS_MAX:
         raise ParseError(f"{what} too long: {len(body)} digits, over {PROFILE_DIGITS_MAX}", line)
     return -int(body) if digits.startswith("-") else int(body)

@@ -162,7 +162,7 @@ def _vertex_field(x: str, n: int, what: str, lineno: int) -> int:
     digits = x.lstrip("0") or "0"
     # The length test keeps int() off digit strings it refuses.
     if len(digits) > len(str(n)):
-        raise ParseError(f"{what} of {len(x)} digits out of range", lineno)
+        raise ParseError(f"{what} of {len(digits)} digits out of range", lineno)
     v = int(digits)
     if v >= n:
         raise ParseError(f"{what} {v} out of range for {n} vertices", lineno)

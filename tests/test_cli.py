@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -284,6 +285,25 @@ class TestEnumerate:
         assert any("algebra_name" in m for m in doc["golden"]["mismatches"])
         assert any(m == "missing class zzz" for m in doc["golden"]["mismatches"])
 
+    def test_golden_mismatch_lines_and_order(self, capsys, monkeypatch):
+        golden = json.loads(json.dumps(load_golden()))
+        golden["classes"]["zzz"] = golden["classes"].pop("D?C")
+        golden["classes"]["D??"].update(
+            profile={"t": 9}, algebra_name="bogus", graph_algebra=None, semiprojectivity="x"
+        )
+        monkeypatch.setattr(cli, "load_golden", lambda: golden)
+        code, out, _ = run_cli(capsys, "enumerate", "5", "--golden")
+        assert code == 6
+        assert [line for line in out.splitlines() if line.startswith("golden")] == [
+            "golden mismatch: missing class zzz",
+            "golden mismatch: unexpected class D?C",
+            "golden mismatch: D??: profile = {'t': 0, 'o': 0, 'N': [[-4, 1]]}, golden has {'t': 9}",
+            "golden mismatch: D??: algebra_name = 'E_5^-1', golden has 'bogus'",
+            "golden mismatch: D??: graph_algebra = True, golden has None",
+            "golden mismatch: D??: semiprojectivity = 'Semiprojective', golden has 'x'",
+            "golden: MISMATCH",
+        ]
+
     def test_golden_wrong_n_is_exit_6(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "4", "--golden", "--json")
         assert code == 6
@@ -317,6 +337,71 @@ class TestEnumerate:
         # component next to its edgeless pair and K_3 is three singletons.
         assert "graph algebras: 2" in out
         assert "semiprojectivity: 2 Semiprojective, 2 NotSemiprojective, 0 Unknown" in out
+
+
+class TestEnumerateDigits:
+    """``enumerate`` reads n by the one digit rule, ``graphs.parse_decimal``."""
+
+    @pytest.mark.parametrize("n", ["\u0663", "\uff13", "+3", " 3", "1_0"])
+    def test_n_outside_ascii_digits_is_exit_2(self, capsys, n):
+        code, out, err = run_cli(capsys, "enumerate", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad n {n!r}\n"
+
+    def test_leading_zeros_are_free(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "0003")
+        assert (code, out, err) == run_cli(capsys, "enumerate", "3")
+        assert out.startswith("n = 3: 4 isomorphism classes\n")
+
+
+# The input formats each subcommand reads, in the order its refusals list them.
+FORMATS = {
+    "classify": ["graph6", "edges", "profile"],
+    "compare": ["graph6", "edges", "profile"],
+    "realize": ["graph6", "edges", "profile"],
+    "euler": ["graph6", "edges"],
+    "decompose": ["graph6", "edges"],
+    "ktheory": ["dgraph"],
+    "enumerate": [],
+}
+
+
+class TestFormatsPerSubcommand:
+    @pytest.mark.parametrize("command", sorted(FORMATS))
+    def test_help_lists_exactly_the_formats_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        offered = re.findall(r"--format \{([^}]*)\}", out)
+        if FORMATS[command]:
+            assert offered and set(offered) == {",".join(FORMATS[command])}
+        else:
+            assert "--format" not in out
+
+    @pytest.mark.parametrize(
+        "argv, fmt", [(["ktheory", "dvertices: 1\n"], "edges"), (["classify", "D??"], "dgraph")]
+    )
+    def test_unread_format_is_a_usage_error(self, capsys, argv, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, _, choices = captured.err.partition(f"argument --format: invalid choice: '{fmt}' (choose from ")
+        assert head.startswith(f"usage: raagcs {argv[0]} ")
+        assert fmt not in choices and all(f in choices for f in FORMATS[argv[0]])
+
+    def test_detected_format_refusal_lists_the_formats_read(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "dvertices: 1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: input format 'dgraph' is not usable here "
+            "(expected one of graph6, edges, profile)\n"
+        )
+        code, _, err = run_cli(capsys, "ktheory", "D??")
+        assert err == "error: input format 'graph6' is not usable here (expected one of dgraph)\n"
 
 
 class TestRealize:

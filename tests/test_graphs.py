@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import warnings
 
 import pytest
@@ -33,7 +34,7 @@ from raagcs import (
     path_graph,
     to_graph6,
 )
-from raagcs.graphs import EDGE_LIST_MAX, _lower
+from raagcs.graphs import EDGE_LIST_MAX, PROFILE_DIGITS_MAX, _lower, parse_decimal
 from conftest import (
     graphs,
     random_graph,
@@ -241,6 +242,23 @@ class TestEdgeListParsing:
         assert parse_edge_list(path).n == EDGE_LIST_MAX
         with pytest.raises(LimitExceeded, match=f"got {EDGE_LIST_MAX + 1} labels"):
             parse_edge_list(path + f"v0 v{EDGE_LIST_MAX}\n")
+
+
+class TestParseDecimal:
+    def test_digits_after_an_optional_minus(self):
+        assert parse_decimal("0", "count") == 0
+        assert parse_decimal("-007", "count") == -7
+        assert parse_decimal("0" * 5000 + "12", "count") == 12
+
+    @pytest.mark.parametrize("text", ["", "-", "+3", " 3", "3 ", "1_0", "--3", "\u0663", "\uff13", "\u00b2"])
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(ParseError, match=f"^line 4: bad count {re.escape(repr(text))}$"):
+            parse_decimal(text, "count", 4)
+
+    def test_digit_cap(self):
+        assert parse_decimal("9" * PROFILE_DIGITS_MAX, "count") == 10**PROFILE_DIGITS_MAX - 1
+        with pytest.raises(ParseError, match=f"count too long: {PROFILE_DIGITS_MAX + 1} digits"):
+            parse_decimal("-" + "9" * (PROFILE_DIGITS_MAX + 1), "count")
 
 
 class TestGraph6:

@@ -216,6 +216,17 @@ class TestDgraphFormat:
         assert parse_dgraph(f"dvertices: 2\n{pad}1 *\n").infinite_emitters == frozenset({1})
         assert parse_dgraph(f"dvertices: 2\n0 {pad}1 3\n").edge_mult == {(0, 1): 3}
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{pad}99999 *", "line 2: infinite emitter of 5 digits out of range$"),
+            ("0 {pad}99999 1", "line 2: edge endpoint of 5 digits out of range$"),
+        ],
+    )
+    def test_padded_refusals_count_significant_digits(self, line, message):
+        with pytest.raises(ParseError, match=message):
+            parse_dgraph("dvertices: 2\n" + line.format(pad="0" * 5000) + "\n")
+
     def test_multiplicities_share_the_profile_digit_cap(self):
         top = "9" * PROFILE_DIGITS_MAX
         # Leading zeros are free, and lines at the cap sum to a printable int.
