@@ -155,10 +155,6 @@ class AbGroup:
             return cls(0)
         return cls(0, (m,))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -290,6 +290,8 @@ def _text_classify(doc: dict[str, Any]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
+    if args.left == args.right == "-":
+        raise ParseError("stdin can be read once: only one side may be '-'")
     sides = [_verdict_input(token, args) for token in (args.left, args.right)]
     doc = {"document": "comparison", **_json(compare(sides[0][0], sides[1][0]))}
     for tag, (p, echo, warns) in zip(("left", "right"), sides):
@@ -459,7 +461,7 @@ def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
         "document": "ktheory",
         "dgraph": format_dgraph(dg),
         "n": dg.n,
-        "regular_vertices": list(rep.regular_vertices),
+        "regular_vertices": list(dg.regular_vertices),
         "sinks": list(dg.sinks),
         "infinite_emitters": sorted(dg.infinite_emitters),
         "k0": _json(rep.k0),
@@ -665,7 +667,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

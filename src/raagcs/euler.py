@@ -29,9 +29,6 @@ class CliqueCountVector:
 
     counts: tuple[int, ...]
 
-    def count(self, k: int) -> int:
-        return self.counts[k - 1] if 1 <= k <= len(self.counts) else 0
-
     def euler(self) -> int:
         chi = 1
         for k, c in enumerate(self.counts, start=1):

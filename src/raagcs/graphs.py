@@ -9,6 +9,7 @@ the one-byte header below 63 vertices and the ``~`` header from 63 on.
 from __future__ import annotations
 
 import base64
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,15 +114,9 @@ class UndirectedGraph:
             for v in _bits(row & -(2 << u))
         )
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v and bool(self.adjacency[u] >> v & 1)
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(m.bit_count() for m in self.adjacency))
 
 
 def empty_graph(n: int) -> UndirectedGraph:
@@ -181,19 +176,28 @@ def parse_count_header(line: str, key: str, cap: int, kind: str, lineno: int) ->
 
 # Most digits past leading zeros of a profile count, an N[k] key or a dgraph
 # multiplicity: 300 under Python's default 4 300-digit int-string limit, so
-# every 1 + |k| and every sum of counts prints.
+# every 1 + |k| and every sum of counts prints.  Under a lower limit the cap
+# is 300 digits below it (``parse_decimal``).
 PROFILE_DIGITS_MAX = 4_000
+
+
+def int_digits_limit() -> int:
+    """Python's int-to-string digit limit now; 0 for none, as before Python 3.11."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
     """The int of ASCII digits after an optional ``-``, leading zeros free, or a
-    ``ParseError`` naming ``what`` for other text or past ``PROFILE_DIGITS_MAX`` digits."""
+    ``ParseError`` naming ``what`` for other text or for more digits than
+    ``PROFILE_DIGITS_MAX`` or ``int_digits_limit() - 300``, whichever is less."""
     body = digits.removeprefix("-")
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"bad {what} {digits!r}", line)
     body = body.lstrip("0") or "0"
-    if len(body) > PROFILE_DIGITS_MAX:
-        raise ParseError(f"{what} too long: {len(body)} digits, over {PROFILE_DIGITS_MAX}", line)
+    limit = int_digits_limit()
+    cap = min(PROFILE_DIGITS_MAX, limit - 300) if limit else PROFILE_DIGITS_MAX
+    if len(body) > cap:
+        raise ParseError(f"{what} too long: {len(body)} digits, over {cap}", line)
     return -int(body) if digits.startswith("-") else int(body)
 
 

@@ -17,7 +17,6 @@ it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -35,7 +34,7 @@ from .artin import (
     is_graph_algebra,
     profile_components,
 )
-from .graphs import LimitExceeded, ParseError, _bits, parse_count_header, parse_decimal, reachable, significant_lines
+from .graphs import LimitExceeded, ParseError, _bits, int_digits_limit, parse_count_header, parse_decimal, reachable, significant_lines
 
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
@@ -107,12 +106,11 @@ class DirectedGraph:
             rows[t] |= 1 << s
         return tuple(rows)
 
-    def emits(self, v: int) -> bool:
-        return v in self.infinite_emitters or self.successors[v] != 0
-
     @property
     def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if not self.emits(v))
+        return tuple(
+            v for v in range(self.n) if not self.successors[v] and v not in self.infinite_emitters
+        )
 
     @property
     def regular_vertices(self) -> tuple[int, ...]:
@@ -299,7 +297,6 @@ class KTheoryReport:
     k1_rank: int
     unit_class: tuple[int, ...]
     vertex_class: tuple[tuple[int, ...], ...]
-    regular_vertices: tuple[int, ...]
 
     @property
     def k1(self) -> AbGroup:
@@ -336,10 +333,10 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
     # U maps the unit (all ones) to its row sums and vertex v to column v.
     unit = coords([sum(row) for row in snf.U])
     vertex = tuple(map(coords, zip(*snf.U)))
-    # Every int of the report must print.  A limit of 0 means none, as on a
-    # Python older than the call; an int of at most 3 * limit bits is below
-    # 8 ** limit, so 10 ** limit is built only for a wider one.
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # Every int of the report must print.  A limit of 0 means none; an int of
+    # at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built
+    # only for a wider one.
+    limit = int_digits_limit()
     widest = max(map(abs, chain(k0.torsion, unit, *vertex)), default=0)
     if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
         digits = int(math.log10(widest))  # off by at most one
@@ -353,7 +350,6 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
         k1_rank=len(regs) - rank,
         unit_class=unit,
         vertex_class=vertex,
-        regular_vertices=regs,
     )
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Sequence
 
+import pytest
 from hypothesis import strategies as st
 
 from raagcs import OMEGA, InvariantProfile, UndirectedGraph
@@ -311,3 +313,12 @@ def dgraphs(draw: st.DrawFn, max_n: int = 5) -> DirectedGraph:
     }
     emitters = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2))
     return DirectedGraph(n, mult, frozenset(emitters))
+
+
+@pytest.fixture
+def int_limit_640():
+    """Python's int-to-string limit at its floor, 640 digits, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)

@@ -16,6 +16,7 @@ from raagcs import (
     FiniteExt,
     InfiniteComp,
     InvariantProfile,
+    LimitExceeded,
     ParseError,
     Toeplitz,
     algebra_name,
@@ -148,7 +149,6 @@ class TestAbGroup:
         assert str(AbGroup(0, (4,))) == "Z/4"
         assert str(AbGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
         assert str(TRIVIAL_GROUP) == "0"
-        assert TRIVIAL_GROUP.is_trivial
 
 
 class TestInvariantProfile:
@@ -297,6 +297,12 @@ class TestDecompose:
         assert decompose_oracle(complete_graph(2))
         assert not decompose_oracle(empty_graph(1))
         assert not decompose_oracle(empty_graph(0))
+
+    def test_oracle_cap(self):
+        cap = artin.DECOMPOSE_ORACLE_MAX
+        assert not decompose_oracle(empty_graph(cap))
+        with pytest.raises(LimitExceeded, match=f"^decompose_oracle is capped at n <= {cap}, got {cap + 1}$"):
+            decompose_oracle(empty_graph(cap + 1))
 
     @given(graphs(max_n=7))
     @settings(max_examples=60, deadline=None)
@@ -453,6 +459,14 @@ class TestCompare:
             verdict = compare(lhs, rhs)
             if verdict.isomorphic:
                 assert verdict.stably_isomorphic
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        # A stable normal form that never equals another one contradicts
+        # the conditions on equal profiles.
+        monkeypatch.setattr(artin, "stable_normal_form", lambda prof: object())
+        message = "^internal error: condition route and normal-form route disagree on "
+        with pytest.raises(RuntimeError, match=message):
+            compare(p("t=1"), p("t=1"))
 
     @given(profiles())
     @settings(max_examples=80, deadline=None)

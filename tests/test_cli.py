@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import json
 import re
 import shutil
@@ -212,8 +213,39 @@ class TestProfileDigitCap:
         assert out == ""
         assert f"too long: {PROFILE_DIGITS_MAX + 1} digits" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["classify", "compare", "realize"])
+    def test_lowered_int_string_limit(self, capsys, int_limit_640, command, mode):
+        # The cap is 300 digits below the limit: what parses still prints,
+        # and a longer count is a parse error, not a traceback.
+        top = "9" * 340
+        for spec, realize_code in [(f"N[{top}]=1", 0), (f"N[1]={top};N[-1]={top}", 5)]:
+            sides = [spec, spec] if command == "compare" else [spec]
+            code, out, err = run_cli(capsys, command, *sides, *mode)
+            assert code == (realize_code if command == "realize" else 0)
+            assert (out == "") == (code != 0)
+        sides = ["t=" + "1" * 1000] * (2 if command == "compare" else 1)
+        code, out, err = run_cli(capsys, command, *sides, *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: count too long: 1000 digits, over 340\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_lowered_int_string_limit_dgraph(self, capsys, int_limit_640, mode):
+        code, out, err = run_cli(capsys, "ktheory", f"dvertices: 1\n0 0 {'1' * 1000}\n", *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: multiplicity too long: 1000 digits, over 340\n"
+
 
 class TestCompare:
+    def test_stdin_is_read_by_one_side_only(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("t=1\n"))
+        code, out, err = run_cli(capsys, "compare", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: stdin can be read once: only one side may be '-'\n"
+        code, out, _ = run_cli(capsys, "compare", "-", "t=1")
+        assert code == 0
+        assert "isomorphic: yes" in out
+
     def test_sign_pair_json(self, capsys, validator):
         code, doc = run_json(capsys, validator, "compare", "N[-1]=1", "N[1]=1", "--json")
         assert code == 0

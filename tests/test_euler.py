@@ -39,13 +39,6 @@ def co_cycle_counts(n: int) -> tuple[int, ...]:
 
 
 class TestCliqueCountVector:
-    def test_count_boundaries(self):
-        vec = CliqueCountVector((3, 2))
-        assert vec.count(1) == 3
-        assert vec.count(2) == 2
-        assert vec.count(3) == 0
-        assert vec.count(0) == 0
-
     def test_euler_alternates(self):
         assert CliqueCountVector(()).euler() == 1
         assert CliqueCountVector((5,)).euler() == -4

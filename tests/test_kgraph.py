@@ -52,7 +52,6 @@ class TestDirectedGraph:
         assert dg.regular_vertices == (0, 1)
         assert dg.sinks == (2,)
         assert dg.infinite_emitters == frozenset({3})
-        assert dg.emits(3) and not dg.emits(2)
 
     def test_zero_multiplicities_are_dropped(self):
         dg = DirectedGraph(2, {(0, 1): 0, (0, 0): 1})
@@ -110,7 +109,6 @@ def assert_roles_match_edge_scan(dg: DirectedGraph) -> None:
     assert dg.sinks == tuple(v for v in range(n) if not emits[v])
     assert dg.regular_vertices == tuple(regular)
     for v in range(n):
-        assert dg.emits(v) == emits[v]
         assert dg.successors[v] == sum(1 << t for s, t in mult if s == v)
     inside = {(s, t) for s, t in mult if s in regular and t in regular}
     reach = reference_closure(n, inside)
@@ -395,14 +393,16 @@ class TestGraphKTheory:
         assert rep.unit_is_generator
 
     def test_isolated_vertex(self):
-        rep = graph_ktheory(DirectedGraph(1))
+        dg = DirectedGraph(1)
+        rep = graph_ktheory(dg)
         assert rep.k0 == Z_GROUP and rep.k1_rank == 0
         assert rep.unit_is_generator
-        assert rep.regular_vertices == ()
+        assert dg.regular_vertices == ()
 
     def test_infinite_emitter_column_is_dropped(self):
-        rep = graph_ktheory(DirectedGraph(1, {(0, 0): 2}, frozenset({0})))
-        assert rep.regular_vertices == ()
+        dg = DirectedGraph(1, {(0, 0): 2}, frozenset({0}))
+        rep = graph_ktheory(dg)
+        assert dg.regular_vertices == ()
         assert rep.k0 == Z_GROUP and rep.k1_rank == 0
 
     def test_empty_graph(self):
@@ -695,6 +695,17 @@ class TestRealize:
         with pytest.raises(RealizationNotImplemented):
             realize(p("o=2;N[1]=1"))
 
+    def test_failed_template_raises(self, monkeypatch):
+        # A lone vertex is a sink that no other vertex reaches, so no sink
+        # extension can verify the Toeplitz target.
+        monkeypatch.setattr(kgraph, "_template", lambda factor: DirectedGraph(1))
+        message = (
+            "^template for T failed self-verification: "
+            "sink_ideal_analysis: sink 0 is not reachable from any other vertex$"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            realize(p("t=1"))
+
 
 class TestVerifyRealization:
     def test_wrong_target_fails_kappa(self):
@@ -709,6 +720,12 @@ class TestVerifyRealization:
         report = verify_realization(dg, p("N[-1]=1"))
         assert not report.passed
         assert any(c.name == "sink_ideal_analysis" for c in report.checks)
+
+    def test_single_cycle_fails_condition_k(self):
+        # One loop is the circle algebra: no sink, K0 = Z, yet not O_inf.
+        report = verify_realization(DirectedGraph(1, {(0, 0): 1}), p("o=1"))
+        failed = {c.name: c.detail for c in report.checks if not c.ok}
+        assert failed["condition_k"] == "some strongly connected component is a single cycle"
 
     def test_multi_factor_profile_rejected(self):
         with pytest.raises(ValueError):
