@@ -35,6 +35,7 @@ from .graphs import (
     complement_components,
     induced_subgraph,
     parse_decimal,
+    significant_lines,
 )
 
 DECOMPOSE_ORACLE_MAX = 15
@@ -322,18 +323,19 @@ def invariant_profile(g: UndirectedGraph) -> InvariantProfile:
     return profile_of_classes(classify_component(comp) for comp in decompose(g))
 
 
-_PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?[0-9]+)\])$")
+_PROFILE_KEY = re.compile(r"^(?:t|o|N\[(-?)([0-9]+)\])$")
 
 
 def parse_profile_spec(text: str) -> InvariantProfile:
     """Parse ``t=<count>;o=<count>;N[<k>]=<count>`` profile syntax.
 
-    Counts and the k of ``N[k]`` are ASCII decimal digits (counts may also
-    be ``inf``); keys may appear at most once and in any order; omitted
-    keys are zero.
+    Tokens are separated by ``;`` or line breaks; ``#`` starts a comment.
+    Counts (or ``inf``) and the k of ``N[k]`` after its optional ``-`` are
+    read by ``parse_decimal``; keys may appear at most once and in any
+    order; omitted keys are zero.
     """
     counts: dict[str | int, ExtNat] = {}  # "t", "o" or the k of N[k]
-    for token in text.split(";"):
+    for token in ";".join(line for _, line in significant_lines(text)).split(";"):
         token = token.strip()
         if not token:
             continue
@@ -345,17 +347,11 @@ def parse_profile_spec(text: str) -> InvariantProfile:
         m = _PROFILE_KEY.match(key)
         if not m:
             raise ParseError(f"unknown profile key {key!r}")
-        if value == "inf":
-            count = OMEGA
-        elif value.isascii() and value.isdigit():
-            count = ExtNat(parse_decimal(value, "count"))
-        elif value.startswith("-") and value[1:].isascii() and value[1:].isdigit():
-            raise ParseError(f"negative count in {token!r}")
-        else:
-            raise ParseError(f"malformed count {value!r} in {token!r}")
+        count = OMEGA if value == "inf" else ExtNat(parse_decimal(value, "count"))
         slot: str | int = key
-        if m.group(1) is not None:
-            slot = parse_decimal(m.group(1), "key N[k]")
+        if m.group(2) is not None:
+            slot = parse_decimal(m.group(2), "key N[k]")
+            slot = -slot if m.group(1) else slot
             key = f"N[{slot}]"
         if slot in counts:
             raise ParseError(f"duplicate key {key}")
@@ -442,10 +438,10 @@ def compare(p1: InvariantProfile, p2: InvariantProfile) -> ComparisonVerdict:
     failed = []
     if p1.t != p2.t:
         failed.append("i")
-    ns = {abs(k) for k, _ in p1.N} | {abs(k) for k, _ in p2.N}
-    if any(
-        p1.N_at(-n) + p1.N_at(n) != p2.N_at(-n) + p2.N_at(n) for n in ns
-    ):
+    # One dict per side: N_at scans, so calling it per key is quadratic.
+    n1, n2, zero = dict(p1.N), dict(p2.N), ExtNat(0)
+    ns = {abs(k) for k in n1.keys() | n2.keys()}
+    if any(n1.get(-n, zero) + n1.get(n, zero) != n2.get(-n, zero) + n2.get(n, zero) for n in ns):
         failed.append("ii")
     tot1, tot2 = p1.total_N, p2.total_N
     both_infinite = not tot1.is_finite and not tot2.is_finite

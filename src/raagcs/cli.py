@@ -383,8 +383,6 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
 
 def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     n = parse_decimal(args.n, "n")
-    if n < 0:
-        raise ParseError(f"n must be nonnegative, got {n}")
     doc = _census_doc(n, build_census(n))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())

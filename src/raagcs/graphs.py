@@ -160,24 +160,19 @@ def graph_join(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
 
 
 def parse_count_header(line: str, key: str, cap: int, kind: str, lineno: int) -> int:
-    """The count in a ``<key> <count>`` header: ASCII digits, at most ``cap``
-    (``LimitExceeded`` naming ``kind``, the cap and the count, otherwise)."""
-    rest = line[len(key) :].strip()
-    if not (rest.isascii() and rest.isdigit()):
-        raise ParseError(f"bad vertex count {rest!r}", lineno)
-    digits = rest.lstrip("0") or "0"
-    # The length test keeps int() off digit strings it refuses.
-    if len(digits) > len(str(cap)) or int(digits) > cap:
+    """The count in a ``<key> <count>`` header, read by ``parse_decimal``: at
+    most ``cap`` (``LimitExceeded`` naming ``kind``, the cap and the count)."""
+    count = parse_decimal(line[len(key) :].strip(), "vertex count", lineno)
+    if count > cap:
         raise LimitExceeded(
-            f"{kind} are capped at {cap} vertices, got {key} {digits} (line {lineno})"
+            f"{kind} are capped at {cap} vertices, got {key} {count} (line {lineno})"
         )
-    return int(digits)
+    return count
 
 
-# Most digits past leading zeros of a profile count, an N[k] key or a dgraph
-# multiplicity: 300 under Python's default 4 300-digit int-string limit, so
-# every 1 + |k| and every sum of counts prints.  Under a lower limit the cap
-# is 300 digits below it (``parse_decimal``).
+# Most digits past leading zeros of any numeric input field (``parse_decimal``):
+# 300 under Python's default 4 300-digit int-string limit, so every 1 + |k| and
+# every sum of counts prints.  A lower limit lowers the cap to 300 below it.
 PROFILE_DIGITS_MAX = 4_000
 
 
@@ -187,18 +182,18 @@ def int_digits_limit() -> int:
 
 
 def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
-    """The int of ASCII digits after an optional ``-``, leading zeros free, or a
+    """The int of ASCII digits, with no sign and leading zeros free, or a
     ``ParseError`` naming ``what`` for other text or for more digits than
-    ``PROFILE_DIGITS_MAX`` or ``int_digits_limit() - 300``, whichever is less."""
-    body = digits.removeprefix("-")
-    if not (body.isascii() and body.isdigit()):
+    ``PROFILE_DIGITS_MAX`` or ``int_digits_limit() - 300``, whichever is less.
+    Every numeric input field is read here and nowhere else."""
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"bad {what} {digits!r}", line)
-    body = body.lstrip("0") or "0"
+    body = digits.lstrip("0") or "0"
     limit = int_digits_limit()
     cap = min(PROFILE_DIGITS_MAX, limit - 300) if limit else PROFILE_DIGITS_MAX
     if len(body) > cap:
         raise ParseError(f"{what} too long: {len(body)} digits, over {cap}", line)
-    return -int(body) if digits.startswith("-") else int(body)
+    return int(body)
 
 
 def significant_lines(text: str) -> Iterator[tuple[int, str]]:

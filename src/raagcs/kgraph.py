@@ -140,14 +140,10 @@ def parse_dgraph(text: str) -> DirectedGraph:
             raise ParseError("missing dvertices: header", lineno)
         parts = line.split()
         if len(parts) == 2 and parts[1] == "*":
-            if not (parts[0].isascii() and parts[0].isdigit()):
-                raise ParseError(f"bad vertex {parts[0]!r}", lineno)
             emitters.add(_vertex_field(parts[0], n, "infinite emitter", lineno))
             continue
         if len(parts) != 3:
             raise ParseError("expected '<src> <dst> <mult>' or '<v> *'", lineno)
-        if not all(x.isascii() and x.isdigit() for x in parts):
-            raise ParseError(f"non-integer or negative field in {line!r}", lineno)
         s, t = (_vertex_field(x, n, "edge endpoint", lineno) for x in parts[:2])
         mult[s, t] = mult.get((s, t), 0) + parse_decimal(parts[2], "multiplicity", lineno)
     if n is None:
@@ -156,12 +152,8 @@ def parse_dgraph(text: str) -> DirectedGraph:
 
 
 def _vertex_field(x: str, n: int, what: str, lineno: int) -> int:
-    """An ASCII-digit vertex field, checked against the vertex count."""
-    digits = x.lstrip("0") or "0"
-    # The length test keeps int() off digit strings it refuses.
-    if len(digits) > len(str(n)):
-        raise ParseError(f"{what} of {len(digits)} digits out of range", lineno)
-    v = int(digits)
+    """A vertex field read by ``parse_decimal``, checked against the vertex count."""
+    v = parse_decimal(x, what, lineno)
     if v >= n:
         raise ParseError(f"{what} {v} out of range for {n} vertices", lineno)
     return v

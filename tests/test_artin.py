@@ -180,6 +180,23 @@ class TestProfileSpecParsing:
         assert p("o=2;N[1]=1") == InvariantProfile.make(o=2, N={1: 1})
         assert p("N[-1]=inf") == InvariantProfile.make(N={-1: OMEGA})
 
+    def test_sign_of_a_key_is_grammar(self):
+        # The key regex takes the minus; parse_decimal reads unsigned digits.
+        assert p("N[-7]=1") == InvariantProfile.make(N={-7: 1})
+        assert p("N[-007]=2;N[007]=3") == InvariantProfile.make(N={-7: 2, 7: 3})
+        for key in ("N[+7]", "N[--7]", "N[- 7]", "N[-]"):
+            with pytest.raises(ParseError, match="^unknown profile key"):
+                p(f"{key}=1")
+
+    def test_comments_and_line_breaks(self):
+        # A profile file is read like every other input: line by line, with
+        # '#' comments dropped, each line holding ';'-separated tokens.
+        want = InvariantProfile.make(t=1, o=1, N={2: 1})
+        assert p("# header\nt=1;o=1\nN[2]=1  # trailing\n") == want
+        assert p("t=1\r\n\n o=1;\nN[2]=1;") == want
+        with pytest.raises(ParseError, match="^duplicate key t$"):
+            p("t=1\n# t=9\nt=2")
+
     def test_whitespace_and_empty_tokens(self):
         assert p(" t = 1 ;; N[-1]= 2 ") == InvariantProfile.make(t=1, N={-1: 2})
 
@@ -199,9 +216,9 @@ class TestProfileSpecParsing:
             p("N[03]=1;N[3]=2")
         with pytest.raises(ParseError, match=r"duplicate key N\[0\]"):
             p("N[-0]=1;N[0]=1")
-        with pytest.raises(ParseError, match="negative count"):
+        with pytest.raises(ParseError, match="^bad count '-1'$"):
             p("t=-1")
-        with pytest.raises(ParseError, match="malformed count"):
+        with pytest.raises(ParseError, match="^bad count 'x'$"):
             p("t=x")
         with pytest.raises(ParseError, match="malformed profile token"):
             p("t")
@@ -218,9 +235,9 @@ class TestProfileSpecParsing:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("t=\u00b2", "malformed count"),
-            ("t=\u0663", "malformed count"),
-            ("o=-\u00b2", "malformed count"),
+            ("t=\u00b2", "^bad count '\u00b2'$"),
+            ("t=\u0663", "^bad count '\u0663'$"),
+            ("o=-\u00b2", "^bad count '-\u00b2'$"),
             ("N[\u0663]=1", "unknown profile key"),
             ("N[-\u0663]=1", "unknown profile key"),
         ],
@@ -459,6 +476,20 @@ class TestCompare:
             verdict = compare(lhs, rhs)
             if verdict.isomorphic:
                 assert verdict.stably_isomorphic
+
+    def test_thousands_of_keys(self):
+        # Condition (ii) reads one dict per side; the verdicts are fixed by
+        # the folded counts and the parity of the negative-index counts.
+        k = 3000
+        plus = InvariantProfile.make(N={n: 1 for n in range(1, k + 1)})
+        minus = InvariantProfile.make(N={-n: 1 for n in range(1, k + 1)})
+        assert compare(plus, minus).failed_conditions == ()
+        odd = InvariantProfile.make(N={-n if n > 1 else n: 1 for n in range(1, k + 1)})
+        assert compare(plus, odd).failed_conditions == ("iv",)
+        bumped = InvariantProfile.make(N={**dict(minus.N), -k // 2: 3})  # parity kept
+        verdict = compare(plus, bumped)
+        assert verdict.failed_conditions == ("ii",)
+        assert not verdict.stably_isomorphic
 
     def test_route_disagreement_raises(self, monkeypatch):
         # A stable normal form that never equals another one contradicts

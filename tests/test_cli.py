@@ -169,7 +169,7 @@ class TestClassify:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("t=\u00b2", "malformed count '\u00b2'"),
+            ("t=\u00b2", "bad count '\u00b2'"),
             ("N[\u0663]=1", "unknown profile key"),
             ("t=" + "1" * 5000, "count too long: 5000 digits"),
             ("N[" + "9" * 5000 + "]=1", "key N[k] too long: 5000 digits"),
@@ -181,6 +181,13 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("text", ["# header\nt=1;o=1", "t=1\no=1", "t=1;\n# o=9\no=1  # one\n"])
+    def test_profile_comments_and_line_breaks(self, capsys, text):
+        # A profile is read by significant lines, each split on ';'.
+        got = run_cli(capsys, "classify", text)
+        assert got == run_cli(capsys, "classify", "t=1;o=1")
+        assert got[0] == 0
 
 
 TOP = "9" * PROFILE_DIGITS_MAX
@@ -540,8 +547,8 @@ class TestKTheory:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("dvertices: 11\n0 1_0 1\n", "line 2: non-integer or negative field"),
-            ("dvertices: 2\n+0 1 1\n", "line 2: non-integer or negative field"),
+            ("dvertices: 11\n0 1_0 1\n", "line 2: bad edge endpoint '1_0'"),
+            ("dvertices: 2\n+0 1 1\n", "line 2: bad edge endpoint '+0'"),
             ("dvertices: 2\n0 1 1\n1 3 1\n", "line 3: edge endpoint 3 out of range"),
         ],
     )
@@ -807,4 +814,61 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "enumerate", "-1", *mode)
         assert code == 2
         assert out == ""
-        assert err == "error: n must be nonnegative, got -1\n"
+        assert err == "error: bad n '-1'\n"
+
+
+# Every numeric input field: (subcommand, input with "{}" for the field, the
+# field's name in refusals, the refusal's line prefix, a value it accepts).
+NUMERIC_FIELDS = {
+    "vertices-header": ("classify", "vertices: {}\na b\n", "vertex count", "line 1: ", "3"),
+    "dvertices-header": ("ktheory", "dvertices: {}\n0 0 1\n", "vertex count", "line 1: ", "2"),
+    "emitter": ("ktheory", "dvertices: 2\n{} *\n0 1 1\n", "infinite emitter", "line 2: ", "1"),
+    "source": ("ktheory", "dvertices: 2\n{} 1 1\n", "edge endpoint", "line 2: ", "1"),
+    "target": ("ktheory", "dvertices: 2\n0 {} 1\n", "edge endpoint", "line 2: ", "1"),
+    "multiplicity": ("ktheory", "dvertices: 2\n0 1 {}\n", "multiplicity", "line 2: ", "2"),
+    "count": ("classify", "t={}", "count", "", "7"),
+    "key": ("classify", "N[{}]=1", "key N[k]", "", "7"),
+    "enumerate-n": ("enumerate", "{}", "n", "", "3"),
+}
+NOT_DIGITS = {
+    "letters": "ab",
+    "plus": "+1",
+    "minus": "-1",
+    "underscore": "1_0",
+    "superscript": "\u00b2",
+    "arabic-indic": "\u0663",
+    "long": "1" * 4001,
+}
+# N[-1] is a key: the sign belongs to the profile grammar.
+REFUSED = [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field in NUMERIC_FIELDS
+    for name, value in NOT_DIGITS.items()
+    if (field, name) != ("key", "minus")
+]
+
+
+class TestNumericFields:
+    """Every numeric field is read by ``graphs.parse_decimal``: ASCII digits,
+    no sign, at most ``PROFILE_DIGITS_MAX`` past leading zeros."""
+
+    @pytest.mark.parametrize("field, value", REFUSED)
+    def test_refusals_are_exit_2(self, capsys, field, value):
+        command, template, what, line, _ = NUMERIC_FIELDS[field]
+        code, out, err = run_cli(capsys, command, template.format(value))
+        if len(value) > PROFILE_DIGITS_MAX:
+            message = f"{what} too long: {len(value)} digits, over {PROFILE_DIGITS_MAX}"
+        elif field == "key":  # the key pattern takes only ASCII digits
+            message = f"unknown profile key {template.format(value).split('=')[0]!r}"
+        else:
+            message = f"bad {what} {value!r}"
+        assert (code, out) == (2, "")
+        assert err == f"error: {line}{message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_leading_zeros_are_free(self, capsys, field):
+        command, template, _, _, good = NUMERIC_FIELDS[field]
+        padded = run_cli(capsys, command, template.format("0" * 4001 + good))
+        assert padded == run_cli(capsys, command, template.format(good))
+        assert padded[0] == 0

@@ -208,6 +208,10 @@ class TestEdgeListParsing:
 
     @pytest.mark.parametrize("count", [str(EDGE_LIST_MAX + 1), str(10**12), "9" * 5000])
     def test_declared_count_over_the_cap(self, count):
+        if len(count) > PROFILE_DIGITS_MAX:  # too long to read: malformed, exit 2
+            with pytest.raises(ParseError, match=f"^line 1: vertex count too long: {len(count)} digits"):
+                parse_edge_list(f"vertices: {count}\na b\n")
+            return
         with pytest.raises(LimitExceeded, match=f"capped at {EDGE_LIST_MAX} vertices") as info:
             parse_edge_list(f"vertices: {count}\na b\n")
         assert count[:20] in str(info.value)
@@ -244,10 +248,14 @@ class TestEdgeListParsing:
 
 
 class TestParseDecimal:
-    def test_digits_after_an_optional_minus(self):
+    def test_digits_with_no_sign(self):
+        # The sign of an N[k] key belongs to the profile grammar (test_artin
+        # pins N[-7]), so a signed field is refused.
         assert parse_decimal("0", "count") == 0
-        assert parse_decimal("-007", "count") == -7
+        assert parse_decimal("007", "count") == 7
         assert parse_decimal("0" * 5000 + "12", "count") == 12
+        with pytest.raises(ParseError, match="^bad count '-007'$"):
+            parse_decimal("-007", "count")
 
     @pytest.mark.parametrize("text", ["", "-", "+3", " 3", "3 ", "1_0", "--3", "\u0663", "\uff13", "\u00b2"])
     def test_anything_else_is_refused(self, text):
@@ -256,7 +264,9 @@ class TestParseDecimal:
 
     def test_digit_cap(self):
         assert parse_decimal("9" * PROFILE_DIGITS_MAX, "count") == 10**PROFILE_DIGITS_MAX - 1
-        with pytest.raises(ParseError, match=f"count too long: {PROFILE_DIGITS_MAX + 1} digits"):
+        with pytest.raises(ParseError, match=f"^count too long: {PROFILE_DIGITS_MAX + 1} digits"):
+            parse_decimal("9" * (PROFILE_DIGITS_MAX + 1), "count")
+        with pytest.raises(ParseError, match="^bad count '-9"):
             parse_decimal("-" + "9" * (PROFILE_DIGITS_MAX + 1), "count")
 
     def test_digit_cap_under_a_lowered_int_string_limit(self, int_limit_640):
