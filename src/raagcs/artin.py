@@ -370,6 +370,14 @@ def profile_spec_string(p: InvariantProfile) -> str:
     return ";".join(parts)
 
 
+def _render_power(name: str, count: ExtNat) -> str:
+    if count == 1:
+        return name
+    if count == 2:
+        return f"{name} ⊗ {name}"
+    return f"{name}^{{⊗{count}}}"
+
+
 @dataclass(frozen=True)
 class AlgebraNormalForm:
     """Canonical tuple whose equality decides isomorphism.
@@ -379,8 +387,8 @@ class AlgebraNormalForm:
     count z + sum(M) stays finite and "irrelevant" once it is infinite.
     parity is the mod-2 sum of the negative-index counts, defined only
     when the total is finite with o = 0 and z = 0.  The stable normal
-    form forces parity to "undefined"; its equality decides stable
-    isomorphism.
+    form ``stable()`` forces parity to "undefined"; its equality decides
+    stable isomorphism.  ``str()`` of a normal form is the algebra's name.
     """
 
     t: ExtNat
@@ -388,6 +396,37 @@ class AlgebraNormalForm:
     M: tuple[tuple[int, ExtNat], ...]
     omin: int | str
     parity: int | str
+
+    def stable(self) -> "AlgebraNormalForm":
+        return replace(self, parity=PARITY_UNDEFINED)
+
+    def __str__(self) -> str:
+        """Canonical tensor expression for the algebra of this class.
+
+        Factors are sorted as T, O_inf, E_1^0, then E_{1+n} ascending in n;
+        a single O_inf appears exactly when omin = 1, that is o >= 1 with a
+        finite total; all signs render as +1 except that an odd parity puts
+        -1 on the single lowest E factor.  The empty profile renders "C".
+        """
+        groups: list[tuple[ComponentClass, ExtNat]] = []
+        if self.t != 0:
+            groups.append((Toeplitz(), self.t))
+        if self.omin == 1:
+            groups.append((InfiniteComp(), ExtNat(1)))
+        if self.z != 0:
+            groups.append((FiniteExt(0), self.z))
+        flip = self.parity == 1
+        for n, count in self.M:
+            if flip:
+                groups.append((FiniteExt(-n), ExtNat(1)))
+                flip = False
+                count = ExtNat(count.value - 1)  # parity defined, so finite
+                if count == 0:
+                    continue
+            groups.append((FiniteExt(n), count))
+        if not groups:
+            return "C"
+        return " ⊗ ".join(_render_power(component_name(c), count) for c, count in groups)
 
 
 def normal_form(p: InvariantProfile) -> AlgebraNormalForm:
@@ -399,12 +438,8 @@ def normal_form(p: InvariantProfile) -> AlgebraNormalForm:
             folded[n] = folded.get(n, ExtNat(0)) + c
     M = tuple(sorted(folded.items()))
     total = sum((c for _, c in M), z)
-    omin: int | str
+    omin: int | str = p.o.capped_at_one() if total.is_finite else OMIN_IRRELEVANT
     parity: int | str
-    if total.is_finite:
-        omin = p.o.capped_at_one()
-    else:
-        omin = OMIN_IRRELEVANT
     if total.is_finite and p.o == 0 and z == 0:
         parity = sum(c.value for k, c in p.N if k < 0) % 2  # type: ignore[union-attr]
     else:
@@ -413,7 +448,12 @@ def normal_form(p: InvariantProfile) -> AlgebraNormalForm:
 
 
 def stable_normal_form(p: InvariantProfile) -> AlgebraNormalForm:
-    return replace(normal_form(p), parity=PARITY_UNDEFINED)
+    return normal_form(p).stable()
+
+
+def algebra_name(p: InvariantProfile) -> str:
+    """Canonical tensor expression for the algebra of a profile."""
+    return str(normal_form(p))
 
 
 @dataclass(frozen=True)
@@ -463,8 +503,9 @@ def compare(p1: InvariantProfile, p2: InvariantProfile) -> ComparisonVerdict:
 
     iso_conditions = not failed
     stable_conditions = not any(c in failed for c in ("i", "ii", "iii"))
-    iso_normal = normal_form(p1) == normal_form(p2)
-    stable_normal = stable_normal_form(p1) == stable_normal_form(p2)
+    nf1, nf2 = normal_form(p1), normal_form(p2)
+    iso_normal = nf1 == nf2
+    stable_normal = nf1.stable() == nf2.stable()
     if (iso_conditions, stable_conditions) != (iso_normal, stable_normal):
         raise RuntimeError(
             "internal error: condition route and normal-form route disagree "
@@ -477,44 +518,6 @@ def compare(p1: InvariantProfile, p2: InvariantProfile) -> ComparisonVerdict:
     )
 
 
-def _render_power(name: str, count: ExtNat) -> str:
-    if count == 1:
-        return name
-    if count == 2:
-        return f"{name} ⊗ {name}"
-    return f"{name}^{{⊗{count}}}"
-
-
-def algebra_name(p: InvariantProfile) -> str:
-    """Canonical tensor expression for the algebra of a profile.
-
-    Factors are sorted as T, O_inf, E_1^0, then E_{1+n} ascending in n;
-    o appears as a single O_inf whenever min(o, 1) = 1; all signs render
-    as +1 except that an odd parity puts -1 on the single lowest E
-    factor.  The empty profile renders "C".
-    """
-    nf = normal_form(p)
-    groups: list[tuple[ComponentClass, ExtNat]] = []
-    if nf.t != 0:
-        groups.append((Toeplitz(), nf.t))
-    if p.o.capped_at_one():
-        groups.append((InfiniteComp(), ExtNat(1)))
-    if nf.z != 0:
-        groups.append((FiniteExt(0), nf.z))
-    flip = nf.parity == 1
-    for n, count in nf.M:
-        if flip:
-            groups.append((FiniteExt(-n), ExtNat(1)))
-            flip = False
-            count = ExtNat(count.value - 1)  # parity defined, so finite
-            if count == 0:
-                continue
-        groups.append((FiniteExt(n), count))
-    if not groups:
-        return "C"
-    return " ⊗ ".join(_render_power(component_name(c), count) for c, count in groups)
-
-
 @dataclass(frozen=True)
 class PrimSpaceSummary:
     """Shape of the primitive ideal space, one kind per component.
@@ -522,15 +525,13 @@ class PrimSpaceSummary:
     A singleton component contributes a point plus a circle, a finite
     component with >= 2 vertices a two-point space (one closed point, one
     dense point), an infinite component a single point.  The whole space
-    is the product over components; minimal_nonzero_ideals counts the
-    minimal nonzero primitive ideals (one per two-point component).
+    is the product over components.
     """
 
     toeplitz_components: ExtNat
     two_point_components: ExtNat
     one_point_components: ExtNat
     is_product: bool
-    minimal_nonzero_ideals: ExtNat
 
 
 def prim_space(p: InvariantProfile) -> PrimSpaceSummary:
@@ -539,7 +540,6 @@ def prim_space(p: InvariantProfile) -> PrimSpaceSummary:
         two_point_components=p.total_N,
         one_point_components=p.o,
         is_product=p.component_count > 1,
-        minimal_nonzero_ideals=p.total_N,
     )
 
 

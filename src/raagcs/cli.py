@@ -51,7 +51,6 @@ from .artin import (
     profile_of_classes,
     profile_spec_string,
     semiprojectivity,
-    stable_normal_form,
 )
 from .euler import clique_counts
 from .graphs import (
@@ -155,12 +154,13 @@ def _json(x: Any) -> Any:
 
 
 def _verdict_json(p: InvariantProfile) -> dict[str, Any]:
-    """The keys every verdict carries: profile, normal forms and name."""
+    """The keys every verdict carries, all read from one normal form."""
+    nf = normal_form(p)
     return {
         "profile": _json(p),
-        "normal_form": _json(normal_form(p)),
-        "stable_normal_form": _json(stable_normal_form(p)),
-        "algebra_name": algebra_name(p),
+        "normal_form": _json(nf),
+        "stable_normal_form": _json(nf.stable()),
+        "algebra_name": str(nf),
     }
 
 
@@ -264,8 +264,7 @@ def _text_classify(doc: dict[str, Any]) -> None:
         "prim space: "
         f"{prim['toeplitz_components']} point-plus-circle, "
         f"{prim['two_point_components']} two-point, "
-        f"{prim['one_point_components']} one-point component(s); "
-        f"minimal nonzero ideals: {prim['minimal_nonzero_ideals']}"
+        f"{prim['one_point_components']} one-point component(s)"
     )
     for row in doc["ktheory"]:
         bits = [

@@ -17,7 +17,9 @@ from raagcs import (
     InfiniteComp,
     InvariantProfile,
     LimitExceeded,
+    NotRealizable,
     ParseError,
+    RealizationNotImplemented,
     Toeplitz,
     algebra_name,
     canonical_form,
@@ -43,6 +45,7 @@ from raagcs import (
     path_graph,
     prim_space,
     profile_components,
+    realize,
     semiprojectivity,
     stable_normal_form,
 )
@@ -494,7 +497,7 @@ class TestCompare:
     def test_route_disagreement_raises(self, monkeypatch):
         # A stable normal form that never equals another one contradicts
         # the conditions on equal profiles.
-        monkeypatch.setattr(artin, "stable_normal_form", lambda prof: object())
+        monkeypatch.setattr(artin.AlgebraNormalForm, "stable", lambda nf: object())
         message = "^internal error: condition route and normal-form route disagree on "
         with pytest.raises(RuntimeError, match=message):
             compare(p("t=1"), p("t=1"))
@@ -537,26 +540,52 @@ class TestAlgebraName:
 
     @given(profiles(), profiles())
     @settings(max_examples=120, deadline=None)
-    def test_name_is_constant_on_normal_forms_with_finite_totals(self, lhs, rhs):
-        # With infinitely many finite factors the o count no longer affects
-        # the isomorphism class, but it still renders, so names are only an
-        # invariant while the total stays finite.
-        if lhs.total_N.is_finite and rhs.total_N.is_finite:
-            if normal_form(lhs) == normal_form(rhs):
-                assert algebra_name(lhs) == algebra_name(rhs)
+    def test_name_is_constant_on_normal_forms(self, lhs, rhs):
+        if normal_form(lhs) == normal_form(rhs):
+            assert algebra_name(lhs) == algebra_name(rhs)
 
-    def test_name_renders_literal_o_in_the_infinite_regime(self):
+    def test_o_drops_out_of_the_name_in_the_infinite_regime(self):
+        # With infinitely many finite factors omin is irrelevant, so o no
+        # longer affects the isomorphism class and does not render.
         lhs, rhs = p("o=1;N[1]=inf"), p("N[1]=inf")
         assert compare(lhs, rhs).isomorphic
-        assert algebra_name(lhs) == "O_inf ⊗ E_2^+1^{⊗inf}"
-        assert algebra_name(rhs) == "E_2^+1^{⊗inf}"
+        assert algebra_name(lhs) == algebra_name(rhs) == "E_2^+1^{⊗inf}"
+
+    def test_name_is_read_from_the_normal_form(self):
+        prof = p("t=1;o=1;N[0]=2;N[-3]=1")
+        assert algebra_name(prof) == str(normal_form(prof))
+        assert stable_normal_form(prof) == normal_form(prof).stable()
+
+
+class TestVerdictsOnClasses:
+    def test_verdicts_are_functions_of_the_normal_form(self):
+        # t, o and N[-2..2] each range over {0, 1, 2, inf}: 4^7 profiles.
+        values = (0, 1, 2, "inf")
+        classes: dict[object, list[InvariantProfile]] = {}
+        for t, o, *counts in itertools.product(values, repeat=7):
+            prof = InvariantProfile.make(t=t, o=o, N=dict(zip(range(-2, 3), counts)))
+            classes.setdefault(normal_form(prof), []).append(prof)
+        assert len(classes) == 960
+
+        def outcome(prof: InvariantProfile) -> str:
+            try:
+                realize(prof)
+            except (NotRealizable, RealizationNotImplemented) as exc:
+                return type(exc).__name__
+            return "realized"
+
+        names = set()
+        for members in classes.values():
+            for verdict in (algebra_name, is_graph_algebra, semiprojectivity, outcome):
+                assert len({verdict(prof) for prof in members}) == 1, (verdict, members)
+            names.add(algebra_name(members[0]))
+        assert len(names) == len(classes)
 
 
 class TestPrimSpace:
     def test_component_kinds(self):
         assert prim_space(p("t=1")).toeplitz_components == 1
         assert prim_space(p("N[-2]=1")).two_point_components == 1
-        assert prim_space(p("N[-2]=1")).minimal_nonzero_ideals == 1
         assert prim_space(p("o=1")).one_point_components == 1
 
     def test_product_flag(self):

@@ -273,6 +273,52 @@ class TestCompare:
         assert "isomorphic: no" in out
         assert "failed conditions: i" in out
 
+    def test_isomorphic_sides_carry_one_name(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "o=1;N[1]=inf", "N[1]=inf")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "left: o = 1, N_1 = inf  ->  E_2^+1^{⊗inf}"
+        assert lines[1] == "right: N_1 = inf  ->  E_2^+1^{⊗inf}"
+        assert lines[2] == "isomorphic: yes"
+
+
+class TestNormalFormPasses:
+    """Each input's normal form is computed once per verdict: a counter, not
+    a clock, gates the passes."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch) -> list[object]:
+        calls: list[object] = []
+        real = artin.normal_form
+
+        def counted(prof):
+            calls.append(prof)
+            return real(prof)
+
+        for module in (artin, cli):
+            monkeypatch.setattr(module, "normal_form", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["compare", "N[-1]=1", "N[1]=1"], 4),
+            (["compare", "D??", "o=1;N[1]=inf", "--json"], 4),
+            (["classify", "t=1;N[-2]=3"], 1),
+            (["realize", "N[3]=1"], 1),
+        ],
+    )
+    def test_passes_per_command(self, capsys, passes, argv, count):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(passes) == count
+
+    def test_one_pass_per_census_row(self, capsys, passes):
+        assert main(["enumerate", "5", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["graph_count"] == 34
+        assert len(passes) == doc["graph_count"]
+
 
 class TestInputEcho:
     @pytest.mark.parametrize("command", ["classify", "compare", "euler", "decompose"])
