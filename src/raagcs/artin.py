@@ -233,7 +233,7 @@ class InvariantProfile:
         items = []
         for k, v in sorted((N or {}).items()):
             count = ExtNat.of(v)
-            if count != 0:
+            if count.value != 0:
                 items.append((int(k), count))
         return cls(ExtNat.of(t), ExtNat.of(o), tuple(items))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping, NamedTuple, Sequence
 
 from .artin import (
@@ -168,13 +168,31 @@ def format_dgraph(dg: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The column operations of one reduction pass: the pivot column k, the
+# column swapped into it (k itself for none), the weight each cell was
+# charged, and the steps (j, q), each column j -= q * column k.
+ColumnPass = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+
+def _over_budget(m: int, n: int) -> LimitExceeded:
+    return LimitExceeded(
+        f"Smith normal form is capped at {SNF_BUDGET} weighted cell "
+        f"updates, exceeded on a {m} x {n} matrix"
+    )
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """D = U * A * V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
+    """D = U * A * V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
+
+    The reduction leaves U and D, the column operations it made and the
+    weighted cells it wrote; V is built from those on first read.
+    """
 
     U: tuple[tuple[int, ...], ...]
     D: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
+    column_ops: tuple[ColumnPass, ...] = field(repr=False)
+    work: int = field(repr=False)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -186,6 +204,32 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d)
 
+    @cached_property
+    def V(self) -> tuple[tuple[int, ...], ...]:
+        """The column operations replayed on the transpose of I_n.
+
+        A swap of columns k and j swaps two rows of the transpose, and a step
+        updates only the nonzeros of its row k: the rows of V that the step
+        changes.  Each such cell is charged at its pass's weight on top of
+        the reduction's work, against ``SNF_BUDGET`` as in the reduction.
+        """
+        m = len(self.D)
+        n = len(self.D[0]) if m else 0
+        vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+        work = self.work
+        for k, c, weight, steps in self.column_ops:
+            vt[k], vt[c] = vt[c], vt[k]
+            pivot = vt[k]
+            support = list(compress(range(n), pivot))
+            for j, q in steps:
+                row = vt[j]
+                for r in support:
+                    row[r] -= q * pivot[r]
+            work += weight * len(support) * len(steps)
+            if work > SNF_BUDGET:
+                raise _over_budget(m, n)
+        return tuple(zip(*vt))
+
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
@@ -196,10 +240,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     Exact big integers throughout, so intermediate growth can never
     overflow.  Deterministic for a fixed input.
 
-    The work is done on the bordered matrix [[A, I_m], [I_n, 0]]: a row
-    operation on its first m rows carries U along with A, a column
-    operation on its first n columns carries V, and D, U and V are its
-    blocks at the end.  The zero block is never touched, so it is not kept.
+    The work is done on the bordered matrix [A, I_m]: a row operation
+    carries U along with A, and D and U are its blocks at the end.  Column
+    operations are recorded for V, which is built only when it is read.
     Each pass puts the pivot in place with its row positive.  The row step
     reduces the entries below it, on the pivot row's nonzero columns only;
     the column step those right of it, on the rows nonzero in its column
@@ -212,8 +255,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
         raise ValueError("matrix rows must have equal length")
     if not set(map(type, chain.from_iterable(a))) <= {int}:
         raise TypeError("matrix entries must be ints")
-    W = [[*row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
-    W += [[int(i == j) for j in range(n)] for i in range(n)]
+    W = [[*row] + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(a)]
+    ops: list[ColumnPass] = []
     k = work = 0
     while k < min(m, n):
         pivot = None
@@ -230,36 +273,40 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
                 break
         if pivot is None:
             break
-        i, j = pivot
+        i, c = pivot
         W[k], W[i] = W[i], W[k]
-        if j != k:
-            for row in W:
-                row[k], row[j] = row[j], row[k]
+        if c != k:
+            for row in W[k:]:
+                row[k], row[c] = row[c], row[k]
         if W[k][k] < 0:
             W[k] = [-x for x in W[k]]
         top = W[k]
         p = top[k]
-        weight = 1 + max(map(abs, top)).bit_length() // 64
-        support = [j for j, x in enumerate(top) if x]
-        for row in W[k + 1 : m]:
+        weight = 1 + max(max(top), -min(top)).bit_length() // 64
+        support = list(compress(range(n + m), top))
+        for row in W[k + 1 :]:
             q = row[k] // p
             if q:
                 for j in support:
                     row[j] -= q * top[j]
                 work += weight * len(support)
-        carriers = [row for row in W if row[k]]
-        for j in range(k + 1, n):
-            q = top[j] // p
-            if q:
-                for row in carriers:
-                    row[j] -= q * row[k]
-                work += weight * len(carriers)
+        # Rows above k are clear from column k on; the pivot row is the only
+        # carrier once the row step has cleared the column.
+        carriers = [row for row in W[k:] if row[k]]
+        steps = []
+        for j in support:
+            if k < j < n:
+                q = top[j] // p
+                if q:
+                    for row in carriers:
+                        row[j] -= q * row[k]
+                    steps.append((j, q))
+        work += weight * len(carriers) * len(steps)
+        if c != k or steps:
+            ops.append((k, c, weight, tuple(steps)))
         if work > SNF_BUDGET:
-            raise LimitExceeded(
-                f"Smith normal form is capped at {SNF_BUDGET} weighted cell "
-                f"updates, exceeded on a {m} x {n} matrix"
-            )
-        if any(top[k + 1 : n]) or any(row[k] for row in W[k + 1 : m]):
+            raise _over_budget(m, n)
+        if any(top[k + 1 : n]) or len(carriers) > 1:
             continue
         if p > 1:
             # Pull any entry the pivot does not divide into row k, then rerun.
@@ -269,9 +316,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
                 continue
         k += 1
     return SmithDecomposition(
-        U=tuple(tuple(row[n:]) for row in W[:m]),
-        D=tuple(tuple(row[:n]) for row in W[:m]),
-        V=tuple(map(tuple, W[m:])),
+        U=tuple(tuple(row[n:]) for row in W),
+        D=tuple(tuple(row[:n]) for row in W),
+        column_ops=tuple(ops),
+        work=work,
     )
 
 

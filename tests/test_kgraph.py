@@ -512,6 +512,34 @@ class TestSmithBudget:
             verify_realization(dg, parse_profile_spec("N[-3]=1"))
         assert len(calls) == 1
 
+    def test_v_is_charged_on_first_read(self, monkeypatch):
+        # At a budget equal to the reduction's own work, U and D come back,
+        # and building V, charged on top of that work, is refused.
+        a = random_matrix(random.Random(3), 6, 5)
+        snf = smith_normal_form(a)
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", snf.work - 1)
+        with pytest.raises(LimitExceeded, match="Smith normal form"):
+            smith_normal_form(a)
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", snf.work)
+        fresh = smith_normal_form(a)
+        assert (fresh.U, fresh.D) == (snf.U, snf.D)
+        with pytest.raises(LimitExceeded, match=rf"Smith normal form .* {snf.work} .* 6 x 5 matrix"):
+            fresh.V
+
+    def test_v_is_built_once(self):
+        snf = smith_normal_form(random_matrix(random.Random(3), 6, 5))
+        assert "V" not in vars(snf)
+        assert snf.V is snf.V
+
+    def test_ktheory_never_builds_v(self, monkeypatch):
+        seen = []
+        real = kgraph.smith_normal_form
+        monkeypatch.setattr(kgraph, "smith_normal_form", lambda a: seen.append(real(a)) or seen[-1])
+        assert cli_main(["ktheory", block_dgraph(random.Random(5), 20, 1, 1), "--json"]) == 0
+        assert cli_main(["realize", "N[-3]=1", "--json"]) == 0
+        assert len(seen) >= 3
+        assert all("V" not in vars(res) for res in seen)
+
 
 def wide_cycle(n: int = 100, m: int = 10**50) -> str:
     """The n-cycle with multiplicity m: K0 = Z/(m^n - 1), of 5 000 digits
