@@ -313,18 +313,15 @@ def _text_compare(doc: dict[str, Any]) -> None:
 
 def build_census(n: int) -> list[dict[str, Any]]:
     """Classification rows for all isomorphism classes on n vertices,
-    sorted by canonical graph6 string."""
+    sorted by canonical graph6 string.  Each distinct profile's verdicts
+    are computed once and shared by its rows."""
     rows = []
+    verdicts: dict[InvariantProfile, dict[str, Any]] = {}
     for g in enumerate_graphs(n):
         p = invariant_profile(g)
-        rows.append(
-            {
-                "graph6": to_graph6(g),
-                "edges": g.edge_count,
-                **_verdict_json(p),
-                **_algebra_kind_json(p),
-            }
-        )
+        if p not in verdicts:
+            verdicts[p] = {**_verdict_json(p), **_algebra_kind_json(p)}
+        rows.append({"graph6": to_graph6(g), "edges": g.edge_count, **verdicts[p]})
     return rows
 
 

@@ -500,10 +500,13 @@ def enumerate_graphs(n: int) -> list[UndirectedGraph]:
     canonical when no vertex order's columns (``_lower``) are below its
     identity order's.  Deleting the last vertex of a canonical graph leaves
     a canonical graph, so each canonical graph on k-1 vertices is extended
-    by a new last vertex in all 2^(k-1) ways and kept iff it is canonical:
-    every class is reached exactly once.  Parents come in graph6 order and
-    each takes its new last column in increasing order, so the result is
-    sorted by graph6 bytes.
+    by a new last vertex in every way and kept iff it is canonical: every
+    class is reached exactly once.  Moving the new vertex to position j
+    keeps columns 0..j-1 and makes column j its column c >> (k-1-j), so a
+    c below the parent's floor, its largest column h << (k-1-j), is beaten
+    with no search and never tried.  Parents come in graph6 order and each
+    takes its new last column in increasing order, so the result is sorted
+    by graph6 bytes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -516,7 +519,8 @@ def enumerate_graphs(n: int) -> list[UndirectedGraph]:
         flipped = [int(format(c, f"0{k - 1}b")[::-1], 2) for c in range(1 << (k - 1))]
         grown = []
         for base, head in level:
-            for c, nb in enumerate(flipped):
+            floor = max((h << (k - 1 - j) for j, h in enumerate(head)), default=0)
+            for c, nb in enumerate(flipped[floor:], floor):
                 rows = tuple(r | (nb >> i & 1) << (k - 1) for i, r in enumerate(base))
                 rows += (nb,)
                 cols = head + [c]

@@ -444,6 +444,20 @@ def identity_columns(g: UndirectedGraph) -> list[int]:
     return [sum((g.adjacency[i] >> k & 1) << (k - 1 - i) for i in range(k)) for k in range(g.n)]
 
 
+def column_floor(head: list[int]) -> int:
+    """The least new last column that a parent with identity columns ``head``
+    can take: moving the new vertex to position j makes column j the new
+    column shifted right by len(head) - j."""
+    return max((h << (len(head) - j) for j, h in enumerate(head)), default=0)
+
+
+def extend(parent: UndirectedGraph, c: int) -> UndirectedGraph:
+    """``parent`` with a new last vertex whose identity-order column is c."""
+    k = parent.n + 1
+    new = [(i, k - 1) for i in range(k - 1) if c >> (k - 2 - i) & 1]
+    return UndirectedGraph.from_edges(k, list(parent.edges) + new)
+
+
 def assert_matches_reference(g: UndirectedGraph) -> None:
     """canonical_form is the all-orders minimum, and the minimality test that
     enumeration keeps extensions by holds exactly on the graphs that are
@@ -507,6 +521,41 @@ class TestEnumeration:
         assert all(
             canonical_form(g).decode("ascii") == key for g, key in zip(gs, keys)
         )
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_column_floor_is_sound(self, k):
+        # Every column below a canonical parent's floor is beaten by some
+        # vertex order, and scanning every column from 0 keeps exactly the
+        # classes enumerate_graphs keeps, in the same order: so none of
+        # them lies below its parent's floor.
+        kept = []
+        for parent in enumerate_graphs(k - 1):
+            head = identity_columns(parent)
+            floor = column_floor(head)
+            for c in range(1 << (k - 1)):
+                g = extend(parent, c)
+                beaten = next(_lower(g.adjacency, k, head + [c]), None) is not None
+                assert beaten or c >= floor
+                if not beaten:
+                    kept.append(g)
+        assert kept == enumerate_graphs(k)
+
+    def test_lower_searches(self, monkeypatch):
+        # A counter, not a clock: the column floor skips the searches that
+        # would reject a column below it (219 / 1 307 / 11 291 without it).
+        calls: list[int] = []
+
+        def counted(adj, n, bound):
+            calls.append(n)
+            return _lower(adj, n, bound)
+
+        monkeypatch.setattr("raagcs.graphs._lower", counted)
+        searches = []
+        for n in (5, 6, 7):
+            calls.clear()
+            enumerate_graphs(n)
+            searches.append(len(calls))
+        assert searches == [103, 479, 3161]
 
     def test_cap(self, monkeypatch):
         with pytest.raises(LimitExceeded, match="capped at n <= 8, got 9"):
