@@ -220,7 +220,7 @@ class InvariantProfile:
         keys = [k for k, _ in self.N]
         if keys != sorted(set(keys)):
             raise ValueError("N keys must be strictly increasing")
-        if any(c == 0 for _, c in self.N):
+        if any(c.value == 0 for _, c in self.N):
             raise ValueError("zero counts must be dropped from N")
 
     @classmethod
@@ -435,7 +435,7 @@ def normal_form(p: InvariantProfile) -> AlgebraNormalForm:
     for k, c in p.N:
         if k != 0:
             n = abs(k)
-            folded[n] = folded.get(n, ExtNat(0)) + c
+            folded[n] = folded[n] + c if n in folded else c
     M = tuple(sorted(folded.items()))
     total = sum((c for _, c in M), z)
     omin: int | str = p.o.capped_at_one() if total.is_finite else OMIN_IRRELEVANT

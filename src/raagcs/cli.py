@@ -8,11 +8,12 @@ graph6, anything else is an edge list) and can be forced with
 ``--format``.
 
 Each ``cmd_*`` returns one JSON document and prints nothing.  ``main``
-prints that document, as JSON or through the subcommand's ``_text_*``
-renderer, which reads the document alone, and picks the exit code.  The
-argument parser is built once per process, at import.  JSON output is
-byte-stable: keys are sorted, maps with integer keys are emitted as
-sorted pairs, and two runs on the same input produce identical bytes.
+prints that document, as JSON or as its text view (the document's
+warnings, then the subcommand's ``_text_*`` renderer, which reads the
+document alone), and picks the exit code.  The argument parser is built
+once per process, at import.  JSON output is byte-stable: keys are
+sorted, maps with integer keys are emitted as sorted pairs, and two runs
+on the same input produce identical bytes.
 
 Exit codes: 0 success, 2 parse error, 3 limit violation, 4 not
 realizable, 5 realization not implemented, 6 golden-data mismatch.
@@ -56,7 +57,6 @@ from .euler import clique_counts
 from .graphs import (
     LimitExceeded,
     ParseError,
-    UndirectedGraph,
     complement_components,
     enumerate_graphs,
     induced_subgraph,
@@ -115,22 +115,26 @@ def detect_format(text: str) -> str:
     return "edges"
 
 
-def _parse_input(token: str, args: argparse.Namespace) -> tuple[Any, list[str]]:
+def _parse_input(token: str, args: argparse.Namespace) -> tuple[Any, dict[str, Any]]:
     """Read and parse one CLI input argument, in one of the subcommand's
-    ``args.formats``, into (value, warnings): a graph, a profile or a dgraph."""
+    ``args.formats``, into (value, head): the value is a graph, a profile
+    or a dgraph, and the head holds the document keys the input brings,
+    its ``warnings`` and, for every format but dgraph, its ``input`` echo."""
     text = _read_input(token)
     fmt = args.format or detect_format(text)
     if fmt not in args.formats:
         expected = ", ".join(args.formats)
         raise ParseError(f"input format {fmt!r} is not usable here (expected one of {expected})")
     if fmt == "profile":
-        return parse_profile_spec(text), []
+        p = parse_profile_spec(text)
+        return p, {"input": {"kind": "profile", "spec": profile_spec_string(p)}, "warnings": []}
     if fmt == "dgraph":
-        return parse_dgraph(text), []
+        return parse_dgraph(text), {"warnings": []}
     with warnings_module.catch_warnings(record=True) as caught:
         warnings_module.simplefilter("always")
         g = parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
-    return g, [str(w.message) for w in caught]
+    echo = {"kind": "graph", "n": g.n, "edges": g.edge_count, "graph6": to_graph6(g)}
+    return g, {"input": echo, "warnings": [str(w.message) for w in caught]}
 
 
 # ----------------------------------------------------------------- JSON
@@ -172,23 +176,12 @@ def _algebra_kind_json(p: InvariantProfile) -> dict[str, Any]:
     }
 
 
-def _graph_echo(g: UndirectedGraph) -> dict[str, Any]:
-    return {
-        "kind": "graph",
-        "n": g.n,
-        "edges": g.edge_count,
-        "graph6": to_graph6(g),
-    }
-
-
-def _verdict_input(
-    token: str, args: argparse.Namespace
-) -> tuple[InvariantProfile, dict[str, Any], list[str]]:
-    """Read a graph or profile argument into (profile, input echo, warnings)."""
-    value, warns = _parse_input(token, args)
+def _verdict_input(token: str, args: argparse.Namespace) -> tuple[InvariantProfile, dict[str, Any]]:
+    """Read a graph or profile argument into (profile, head)."""
+    value, head = _parse_input(token, args)
     if isinstance(value, InvariantProfile):
-        return value, {"kind": "profile", "spec": profile_spec_string(value)}, warns
-    return invariant_profile(value), _graph_echo(value), warns
+        return value, head
+    return invariant_profile(value), head
 
 
 def _component_json(cls: ComponentClass) -> dict[str, Any]:
@@ -227,16 +220,13 @@ def nf_human(nf: dict[str, Any]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    p, echo, warns = _verdict_input(args.input, args)
+    p, head = _verdict_input(args.input, args)
     if p.is_empty:
-        warns = warns + [
-            "empty profile: no components, the algebra is the scalars C"
-        ]
+        head["warnings"].append("empty profile: no components, the algebra is the scalars C")
     parts = profile_components(p)
     return {
         "document": "classification",
-        "input": echo,
-        "warnings": warns,
+        **head,
         **_verdict_json(p),
         **_algebra_kind_json(p),
         "components": [
@@ -253,8 +243,6 @@ def _text_classify(doc: dict[str, Any]) -> None:
         print(f"input: graph on {echo['n']} vertices, {echo['edges']} edges ({echo['graph6']})")
     else:
         print(f"input: profile {echo['spec'] or '(all zero)'}")
-    for w in doc["warnings"]:
-        print(f"warning: {w}")
     print(f"profile: {profile_human(doc['profile'])}")
     print(f"algebra: {doc['algebra_name']}")
     print(f"normal form: {nf_human(doc['normal_form'])}")
@@ -293,12 +281,15 @@ def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
         raise ParseError("stdin can be read once: only one side may be '-'")
     sides = [_verdict_input(token, args) for token in (args.left, args.right)]
     doc = {"document": "comparison", **_json(compare(sides[0][0], sides[1][0]))}
-    for tag, (p, echo, warns) in zip(("left", "right"), sides):
-        doc[tag] = {"input": echo, "warnings": warns, **_verdict_json(p)}
+    for tag, (p, head) in zip(("left", "right"), sides):
+        doc[tag] = {**head, **_verdict_json(p)}
     return doc
 
 
 def _text_compare(doc: dict[str, Any]) -> None:
+    for tag in ("left", "right"):
+        for w in doc[tag]["warnings"]:
+            print(f"warning: {tag}: {w}")
     for tag in ("left", "right"):
         side = doc[tag]
         print(f"{tag}: {profile_human(side['profile'])}  ->  {side['algebra_name']}")
@@ -414,12 +405,11 @@ def _text_enumerate(doc: dict[str, Any]) -> None:
 
 
 def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
-    p, echo, warns = _verdict_input(args.input, args)
+    p, head = _verdict_input(args.input, args)
     dg, report = realize(p)
     return {
         "document": "realization",
-        "input": echo,
-        "warnings": warns,
+        **head,
         "profile": _json(p),
         "algebra_name": algebra_name(p),
         "target": report.target,
@@ -442,17 +432,17 @@ def _text_realize(doc: dict[str, Any]) -> None:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
-    dg, _ = _parse_input(args.input, args)
-    warns: list[str] = []
+    dg, head = _parse_input(args.input, args)
     six = None
     if len(dg.sinks) == 1:
         try:
             six = sink_ideal_analysis(dg)
         except ValueError as exc:
-            warns.append(f"sink extension not analyzed: {exc}")
+            head["warnings"].append(f"sink extension not analyzed: {exc}")
     rep = graph_ktheory(dg) if six is None else six.full
     return {
         "document": "ktheory",
+        **head,
         "dgraph": format_dgraph(dg),
         "n": dg.n,
         "regular_vertices": list(dg.regular_vertices),
@@ -473,7 +463,6 @@ def cmd_ktheory(args: argparse.Namespace) -> dict[str, Any]:
             "quotient_k0": _json(six.quotient.k0),
             "quotient_k1": _json(six.quotient.k1),
         },
-        "warnings": warns,
     }
 
 
@@ -483,8 +472,6 @@ def _text_ktheory(doc: dict[str, Any]) -> None:
         f"regular {doc['regular_vertices']}, sinks {doc['sinks']}, "
         f"infinite emitters {doc['infinite_emitters']}"
     )
-    for w in doc["warnings"]:
-        print(f"warning: {w}")
     print(f"K0 = {doc['k0']['name']}, K1 = {doc['k1']['name']}")
     print(f"unit class: {doc['unit_class']} (generator: {_yesno(doc['unit_is_generator'])})")
     for v, cls in enumerate(doc["vertex_classes"]):
@@ -503,20 +490,17 @@ def _text_ktheory(doc: dict[str, Any]) -> None:
 
 
 def cmd_euler(args: argparse.Namespace) -> dict[str, Any]:
-    g, warns = _parse_input(args.input, args)
+    g, head = _parse_input(args.input, args)
     vec = clique_counts(g)
     return {
         "document": "euler",
-        "input": _graph_echo(g),
-        "warnings": warns,
+        **head,
         "clique_counts": list(vec.counts),
         "euler_characteristic": vec.euler(),
     }
 
 
 def _text_euler(doc: dict[str, Any]) -> None:
-    for w in doc["warnings"]:
-        print(f"warning: {w}")
     counts = ", ".join(
         f"c_{k} = {c}" for k, c in enumerate(doc["clique_counts"], start=1) if c
     )
@@ -528,7 +512,7 @@ def _text_euler(doc: dict[str, Any]) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
-    g, warns = _parse_input(args.input, args)
+    g, head = _parse_input(args.input, args)
     classes = []
     components = []
     for vertices in complement_components(g):
@@ -541,8 +525,7 @@ def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
     p = profile_of_classes(classes)
     return {
         "document": "decomposition",
-        "input": _graph_echo(g),
-        "warnings": warns,
+        **head,
         "components": components,
         "profile": _json(p),
         "algebra_name": algebra_name(p),
@@ -550,8 +533,6 @@ def cmd_decompose(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _text_decompose(doc: dict[str, Any]) -> None:
-    for w in doc["warnings"]:
-        print(f"warning: {w}")
     print(f"co-irreducible components: {len(doc['components'])}")
     for i, comp in enumerate(doc["components"]):
         chi = "" if comp["chi"] is None else f", chi = {comp['chi']}"
@@ -582,7 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
         p: argparse.ArgumentParser, formats: tuple[str, ...], func: Callable, text: Callable
     ) -> None:
         """``--json``, ``--format`` over the formats the subcommand reads (none
-        for ``()``), and the command and text renderer it runs."""
+        for ``()``), the command it runs, and its text view: a ``warning:``
+        line for each of the document's ``warnings``, then the renderer."""
+
+        def view(doc: dict[str, Any]) -> None:
+            for w in doc.get("warnings", ()):
+                print(f"warning: {w}")
+            text(doc)
+
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if formats:
             p.add_argument(
@@ -590,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=formats,
                 help="force the input format instead of auto-detecting",
             )
-        p.set_defaults(formats=formats, func=func, text=text)
+        p.set_defaults(formats=formats, func=func, text=view)
 
     c = sub.add_parser("classify", help="full verdict for a graph or profile")
     c.add_argument("input", help="file, inline text, or - for stdin")

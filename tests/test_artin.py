@@ -432,6 +432,35 @@ class TestNormalForm:
         assert normal_form(p("t=inf")).t == OMEGA
 
 
+class TestExtNatConstructions:
+    """A work counter, not a clock: the ExtNat values built to make and to
+    normalise a 1 000-key profile whose keys fold in pairs."""
+
+    N = {k: 1 for k in range(-500, 501) if k}
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        post_init = ExtNat.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(ExtNat, "__post_init__", counted)
+        return count
+
+    def test_make_builds_one_per_count(self, built):
+        InvariantProfile.make(N=self.N)
+        assert built[0] == 1002  # 1 000 counts, t and o
+
+    def test_normal_form_builds_one_per_sum(self, built):
+        prof = InvariantProfile.make(N=self.N)
+        built[0] = 0
+        normal_form(prof)
+        assert built[0] == 1003  # 500 folds, 500 total sums, the missing N[0]
+
+
 class TestCompare:
     def test_equal_profiles(self):
         verdict = compare(p("t=1;N[-1]=2"), p("t=1;N[-1]=2"))

@@ -118,6 +118,8 @@ def _view_cases() -> list[list[str]]:
     cases += [["ktheory", d] for d in dgraphs]
     cases += [["enumerate", str(n)] for n in range(6)]
     cases.append(["enumerate", "5", "--golden"])
+    duplicate = "a b\na b\nb c\nc d"  # E_1^0, with one duplicate edge
+    cases += [["compare", duplicate, "N[-1]=1"], ["compare", "t=1", edge_lists[0]], ["realize", duplicate]]
     return cases
 
 
@@ -131,6 +133,19 @@ def test_text_is_rendered_from_the_json_document(capsys, argv):
         return
     cli._PARSER.parse_args(argv).text(json.loads(out))
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv", _view_cases(), ids=lambda argv: " ".join(argv)[:40])
+def test_text_prints_every_warning_of_the_document(capsys, argv):
+    code, out = run_cli(capsys, argv + ["--json"])
+    if code not in (0, 6):
+        return
+    doc = json.loads(out)
+    expected = [f"warning: {w}" for w in doc.get("warnings", ())]
+    for tag in ("left", "right") if doc["document"] == "comparison" else ():
+        expected += [f"warning: {tag}: {w}" for w in doc[tag]["warnings"]]
+    _, text = run_cli(capsys, argv)
+    assert [line for line in text.splitlines() if line.startswith("warning: ")] == expected
 
 
 def test_every_command_was_viewed():
