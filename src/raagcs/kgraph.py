@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from typing import Mapping, NamedTuple, Sequence
+from operator import mod
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .artin import (
     AbGroup,
@@ -168,10 +169,22 @@ def format_dgraph(dg: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The row operations of one reduction pass, in the order made: the pivot
+# row k, the row swapped into it (k for none), the sign row k was then
+# multiplied by, the steps (i, q), each row i -= q * row k, and the row
+# added into row k at the end (k for none).
+RowPass = tuple[int, int, int, tuple[tuple[int, int], ...], int]
 # The column operations of one reduction pass: the pivot column k, the
-# column swapped into it (k itself for none), the weight each cell was
-# charged, and the steps (j, q), each column j -= q * column k.
-ColumnPass = tuple[int, int, int, tuple[tuple[int, int], ...]]
+# column swapped into it (k itself for none), and the steps (j, q), each
+# column j -= q * column k.
+ColumnPass = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _cells(entries: Collection[int]) -> int:
+    """The cells a replay writes from ``entries``, each weighted 1 + the
+    size in 64-bit words of the entry it moves, the sizes summed before
+    rounding down."""
+    return len(entries) + sum(map(int.bit_length, entries)) // 64
 
 
 def _over_budget(m: int, n: int) -> LimitExceeded:
@@ -185,12 +198,12 @@ def _over_budget(m: int, n: int) -> LimitExceeded:
 class SmithDecomposition:
     """D = U * A * V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
-    The reduction leaves U and D, the column operations it made and the
-    weighted cells it wrote; V is built from those on first read.
+    The reduction leaves D, the row and column operations it made and the
+    weighted cells it wrote; U and V are built from those on first read.
     """
 
-    U: tuple[tuple[int, ...], ...]
     D: tuple[tuple[int, ...], ...]
+    row_ops: tuple[RowPass, ...] = field(repr=False)
     column_ops: tuple[ColumnPass, ...] = field(repr=False)
     work: int = field(repr=False)
 
@@ -204,20 +217,68 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d)
 
+    def u_columns(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
+        """The columns of U cut down to ``rows``: entry t of column c is
+        U[rows[t]][c].
+
+        U is the product E_T ... E_1 of the recorded row operations, so row
+        r of U is e_r E_T ... E_1, and each operation, taken from the last,
+        changes one coordinate of every wanted row.  The rows are kept as
+        one sparse column {t: entry} per coordinate, so a step costs the
+        nonzeros it moves.  Each is charged (``_cells``) on top of the
+        reduction's work, against ``SNF_BUDGET``.
+        """
+        m = len(self.D)
+        n = len(self.D[0]) if m else 0
+        cols: list[dict[int, int]] = [{} for _ in range(m)]
+        for t, r in enumerate(rows):
+            cols[r][t] = 1
+        work = self.work
+        for k, i, sign, steps, stray in reversed(self.row_ops):
+            pivot = cols[k]
+            if stray != k:
+                target = cols[stray]
+                for t, x in pivot.items():
+                    target[t] = target.get(t, 0) + x
+                work += _cells(pivot.values())
+            for j, q in steps:
+                source = cols[j]
+                for t, x in source.items():
+                    pivot[t] = pivot.get(t, 0) - q * x
+                work += _cells(source.values())
+            if sign < 0:
+                cols[k] = {t: -x for t, x in pivot.items()}
+            cols[k], cols[i] = cols[i], cols[k]
+            if work > SNF_BUDGET:
+                raise _over_budget(m, n)
+        width = len(rows)
+        dense = []
+        for col in cols:
+            entries = [0] * width
+            for t, x in col.items():
+                entries[t] = x
+            dense.append(tuple(entries))
+        return dense
+
+    @cached_property
+    def U(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of U, replayed by ``u_columns``."""
+        return tuple(zip(*self.u_columns(range(len(self.D)))))
+
     @cached_property
     def V(self) -> tuple[tuple[int, ...], ...]:
         """The column operations replayed on the transpose of I_n.
 
         A swap of columns k and j swaps two rows of the transpose, and a step
         updates only the nonzeros of its row k: the rows of V that the step
-        changes.  Each such cell is charged at its pass's weight on top of
-        the reduction's work, against ``SNF_BUDGET`` as in the reduction.
+        changes.  Each such cell is charged (``_cells``) on top of the
+        reduction's work, against ``SNF_BUDGET``.
         """
         m = len(self.D)
         n = len(self.D[0]) if m else 0
         vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
         work = self.work
-        for k, c, weight, steps in self.column_ops:
+        for k, c, steps in self.column_ops:
             vt[k], vt[c] = vt[c], vt[k]
             pivot = vt[k]
             support = list(compress(range(n), pivot))
@@ -225,7 +286,7 @@ class SmithDecomposition:
                 row = vt[j]
                 for r in support:
                     row[r] -= q * pivot[r]
-            work += weight * len(support) * len(steps)
+            work += _cells([pivot[r] for r in support]) * len(steps)
             if work > SNF_BUDGET:
                 raise _over_budget(m, n)
         return tuple(zip(*vt))
@@ -240,9 +301,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     Exact big integers throughout, so intermediate growth can never
     overflow.  Deterministic for a fixed input.
 
-    The work is done on the bordered matrix [A, I_m]: a row operation
-    carries U along with A, and D and U are its blocks at the end.  Column
-    operations are recorded for V, which is built only when it is read.
+    The work is done on A alone, and D is what it leaves.  Row and column
+    operations are recorded for U and V, which are built only when read.
     Each pass puts the pivot in place with its row positive.  The row step
     reduces the entries below it, on the pivot row's nonzero columns only;
     the column step those right of it, on the rows nonzero in its column
@@ -255,8 +315,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
         raise ValueError("matrix rows must have equal length")
     if not set(map(type, chain.from_iterable(a))) <= {int}:
         raise TypeError("matrix entries must be ints")
-    W = [[*row] + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(a)]
-    ops: list[ColumnPass] = []
+    W = [[*row] for row in a]
+    row_ops: list[RowPass] = []
+    column_ops: list[ColumnPass] = []
     k = work = 0
     while k < min(m, n):
         pivot = None
@@ -278,47 +339,54 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
         if c != k:
             for row in W[k:]:
                 row[k], row[c] = row[c], row[k]
+        sign = 1
         if W[k][k] < 0:
             W[k] = [-x for x in W[k]]
+            sign = -1
         top = W[k]
         p = top[k]
         weight = 1 + max(max(top), -min(top)).bit_length() // 64
-        support = list(compress(range(n + m), top))
-        for row in W[k + 1 :]:
+        support = list(compress(range(n), top))
+        row_steps = []
+        for r in range(k + 1, m):
+            row = W[r]
             q = row[k] // p
             if q:
                 for j in support:
                     row[j] -= q * top[j]
-                work += weight * len(support)
+                row_steps.append((r, q))
+        work += weight * len(support) * len(row_steps)
         # Rows above k are clear from column k on; the pivot row is the only
         # carrier once the row step has cleared the column.
         carriers = [row for row in W[k:] if row[k]]
         steps = []
         for j in support:
-            if k < j < n:
+            if j > k:
                 q = top[j] // p
                 if q:
                     for row in carriers:
                         row[j] -= q * row[k]
                     steps.append((j, q))
         work += weight * len(carriers) * len(steps)
-        if c != k or steps:
-            ops.append((k, c, weight, tuple(steps)))
         if work > SNF_BUDGET:
             raise _over_budget(m, n)
-        if any(top[k + 1 : n]) or len(carriers) > 1:
-            continue
-        if p > 1:
+        done = not any(top[k + 1 :]) and len(carriers) == 1
+        stray = k
+        if done and p > 1:
             # Pull any entry the pivot does not divide into row k, then rerun.
-            stray = next((i for i in range(k + 1, m) if any(x % p for x in W[i][k + 1 : n])), None)
-            if stray is not None:
+            stray = next((r for r in range(k + 1, m) if any(x % p for x in W[r][k + 1 :])), k)
+            if stray != k:
                 W[k] = [x + y for x, y in zip(top, W[stray])]
-                continue
-        k += 1
+        if i != k or sign < 0 or row_steps or stray != k:
+            row_ops.append((k, i, sign, tuple(row_steps), stray))
+        if c != k or steps:
+            column_ops.append((k, c, tuple(steps)))
+        if done and stray == k:
+            k += 1
     return SmithDecomposition(
-        U=tuple(tuple(row[n:]) for row in W),
-        D=tuple(tuple(row[:n]) for row in W),
-        column_ops=tuple(ops),
+        D=tuple(map(tuple, W)),
+        row_ops=tuple(row_ops),
+        column_ops=tuple(column_ops),
         work=work,
     )
 
@@ -363,16 +431,17 @@ def graph_ktheory(dg: DirectedGraph) -> KTheoryReport:
     rank = len(diag)
     torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
     k0 = AbGroup(n - rank, tuple(diag[i] for i in torsion_rows))
+    # Classes are read from the torsion and free rows of U only: U maps the
+    # unit (all ones) to its row sums and vertex v to column v.
+    columns = snf.u_columns(torsion_rows + list(range(rank, n)))
+    split = len(torsion_rows)
 
-    def coords(image: Sequence[int]) -> tuple[int, ...]:
-        """Class of the vector whose image under U is ``image``."""
-        tors = tuple(image[i] % diag[i] for i in torsion_rows)
-        free = tuple(image[rank:])
-        return tors + free
+    def coords(image: tuple[int, ...]) -> tuple[int, ...]:
+        """Class of the vector whose image under U, on those rows, is ``image``."""
+        return tuple(map(mod, image[:split], k0.torsion)) + image[split:]
 
-    # U maps the unit (all ones) to its row sums and vertex v to column v.
-    unit = coords([sum(row) for row in snf.U])
-    vertex = tuple(map(coords, zip(*snf.U)))
+    unit = coords(tuple(map(sum, zip(*columns))))
+    vertex = tuple(map(coords, columns))
     # Every int of the report must print.  A limit of 0 means none; an int of
     # at most 3 * limit bits is below 8 ** limit, so 10 ** limit is built
     # only for a wider one.

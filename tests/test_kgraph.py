@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -288,10 +289,23 @@ class TestIntegerDeterminant:
             integer_determinant([[1, 2]])
 
 
+def ktheory_rows(snf) -> list[int]:
+    """The rows of U that graph_ktheory reads: torsion rows, then free rows."""
+    diag = snf.invariant_factors
+    return [i for i, d in enumerate(diag) if d >= 2] + list(range(len(diag), len(snf.D)))
+
+
+def assert_rows_match_u(snf, rows: list[int]) -> None:
+    """The reader's columns on ``rows`` are those rows of the full U."""
+    assert snf.u_columns(rows) == [tuple(snf.U[r][c] for r in rows) for c in range(len(snf.D))]
+
+
 def assert_valid_snf(a: list[list[int]]) -> tuple[int, ...]:
     snf = smith_normal_form(a)
     rows, cols = len(a), len(a[0]) if a else 0
     assert mat_mul(mat_mul(snf.U, a), snf.V) == [list(r) for r in snf.D]
+    for subset in (ktheory_rows(snf), list(range(rows))[::-1], list(range(0, rows, 2))):
+        assert_rows_match_u(snf, subset)
     assert abs(integer_determinant(snf.U)) == 1
     assert abs(integer_determinant(snf.V)) == 1
     for i in range(rows):
@@ -305,6 +319,24 @@ def assert_valid_snf(a: list[list[int]]) -> tuple[int, ...]:
     for a_, b_ in zip(factors, factors[1:]):
         assert b_ % a_ == 0
     return factors
+
+
+def ktheory_matrix(dg: DirectedGraph) -> list[list[int]]:
+    """The matrix graph_ktheory reduces: entry (y, c) counts the edges from
+    regular vertex c to y, less one on the diagonal."""
+    regs = dg.regular_vertices
+    return [[dg.edge_mult.get((x, y), 0) - (x == y) for x in regs] for y in range(dg.n)]
+
+
+def sink_heavy_dgraph(k: int, n: int = 1_000) -> DirectedGraph:
+    """k regular vertices, each with edges of multiplicity 1-3 to 20 of the
+    n - k sinks and to 2 regular vertices."""
+    rng = random.Random(k)
+    mult: dict[tuple[int, int], int] = {}
+    for x in range(k):
+        for y in rng.sample(range(k, n), 20) + rng.sample(range(k), 2):
+            mult[x, y] = rng.randint(1, 3)
+    return DirectedGraph(n, mult)
 
 
 class TestSmithNormalForm:
@@ -376,6 +408,22 @@ class TestSmithNormalForm:
             snf = smith_normal_form(a)
             h.update(repr((snf.U, snf.D, snf.V)).encode())
         assert h.hexdigest()[:16] == "7cb97796d21d18cb"
+
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_sink_heavy_rows_match_full_u(self, k):
+        # Tall sparse matrices, where the free rows graph_ktheory reads are
+        # nearly all of U: its classes are the columns of those rows of the
+        # certified U, and the unit's class is their row sums.
+        dg = sink_heavy_dgraph(k)
+        a = ktheory_matrix(dg)
+        snf = smith_normal_form(a)
+        assert mat_mul(mat_mul(snf.U, a), snf.V) == [list(r) for r in snf.D]
+        rows = ktheory_rows(snf)
+        assert_rows_match_u(snf, rows)
+        rep = graph_ktheory(dg)
+        assert rep.k0 == AbGroup(dg.n - k) and rep.k1_rank == 0
+        assert rep.vertex_class == tuple(zip(*(snf.U[r] for r in rows)))
+        assert rep.unit_class == tuple(sum(snf.U[r]) for r in rows)
 
 
 class TestGraphKTheory:
@@ -455,9 +503,10 @@ class TestCycleClosedForm:
 
 def dense_dgraph() -> str:
     """120 vertices, three infinite emitters, every edge with probability
-    0.3 and multiplicity 1-3: the Smith normal form's entries grow to
-    thousands of bits, and without a budget ``ktheory`` was still running
-    after 25 s.  The CI workflow builds the same digraph."""
+    0.3 and multiplicity 1-3: entries of U grow to 94 000 bits, so the full
+    U and V run past the budget, but the reduction and the three rows of U
+    that ``ktheory`` reads do not.  The CI workflow builds the same digraph
+    with multiplicities 1-1000, which runs past the budget."""
     n = 120
     rng = random.Random(1)
     lines = [f"dvertices: {n}"] + [f"{v} *" for v in sorted(rng.sample(range(n), 3))]
@@ -478,10 +527,43 @@ class TestSmithBudget:
         with pytest.raises(LimitExceeded, match="Smith normal form .* 20 .* 6 x 5 matrix"):
             smith_normal_form(a)
 
-    def test_dense_digraph_is_exit_3(self, capsys):
+    def test_dense_digraph_answers(self, capsys, monkeypatch):
+        # K0 = Z^3 and K1 = 0.  Certified without the Smith normal form:
+        # maximal minors of A with gcd 1 make every invariant factor 1.  The
+        # three free rows F of U that ktheory reads satisfy F A = 0 and map
+        # onto Z^3, so their columns are the vertex classes in coker A = Z^3.
+        # The full U and V run past the budget here, so U A V = D is not.
+        seen = []
+        real = kgraph.smith_normal_form
+        monkeypatch.setattr(kgraph, "smith_normal_form", lambda a: seen.append(real(a)) or seen[-1])
+        assert cli_main(["ktheory", dense_dgraph(), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k0"] == {"free_rank": 3, "name": "Z^3", "torsion": []}
+        assert doc["k1"]["free_rank"] == 0
+        a = ktheory_matrix(parse_dgraph(dense_dgraph()))
+        assert (len(a), len(a[0])) == (120, 117)
+        minors = (integer_determinant(a[:d] + a[d + 3 :]) for d in (0, 3, 6))
+        assert math.gcd(*minors) == 1
+        (snf,) = seen
+        columns = snf.u_columns([117, 118, 119])
+        free = list(zip(*columns))
+        assert not any(map(any, mat_mul(free, a)))
+        assert [list(c) for c in columns] == doc["vertex_classes"]
+        cuts = itertools.combinations(range(6), 3)
+        assert math.gcd(*(integer_determinant([[f[c] for c in cut] for f in free]) for cut in cuts)) == 1
+
+    def test_dense_digraph_over_a_lowered_budget_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(kgraph, "SNF_BUDGET", 10**6)
         assert cli_main(["ktheory", dense_dgraph()]) == 3
         err = capsys.readouterr().err
         assert "Smith normal form" in err and "120 x 117 matrix" in err
+
+    def test_dense_80_answers(self):
+        # Dense with entries in [-9, 9]: the reduction stays under the budget.
+        a = random_matrix(random.Random(1), 80, 80)
+        factors = smith_normal_form(a).invariant_factors
+        assert len(factors) == 80
+        assert math.prod(factors) == abs(integer_determinant(a))
 
     def test_sink_extension_does_not_swallow_the_limit(self, capsys, monkeypatch):
         # With one sink, sink_ideal_analysis runs first, and its refusals
@@ -513,8 +595,8 @@ class TestSmithBudget:
         assert len(calls) == 1
 
     def test_v_is_charged_on_first_read(self, monkeypatch):
-        # At a budget equal to the reduction's own work, U and D come back,
-        # and building V, charged on top of that work, is refused.
+        # At a budget equal to the reduction's own work, D comes back, and
+        # building U or V, charged on top of that work, is refused.
         a = random_matrix(random.Random(3), 6, 5)
         snf = smith_normal_form(a)
         monkeypatch.setattr(kgraph, "SNF_BUDGET", snf.work - 1)
@@ -522,14 +604,16 @@ class TestSmithBudget:
             smith_normal_form(a)
         monkeypatch.setattr(kgraph, "SNF_BUDGET", snf.work)
         fresh = smith_normal_form(a)
-        assert (fresh.U, fresh.D) == (snf.U, snf.D)
-        with pytest.raises(LimitExceeded, match=rf"Smith normal form .* {snf.work} .* 6 x 5 matrix"):
-            fresh.V
+        assert fresh.D == snf.D
+        for name in ("U", "V"):
+            with pytest.raises(LimitExceeded, match=rf"Smith normal form .* {snf.work} .* 6 x 5 matrix"):
+                getattr(fresh, name)
 
     def test_v_is_built_once(self):
         snf = smith_normal_form(random_matrix(random.Random(3), 6, 5))
-        assert "V" not in vars(snf)
-        assert snf.V is snf.V
+        for name in ("U", "V"):
+            assert name not in vars(snf)
+            assert getattr(snf, name) is getattr(snf, name)
 
     def test_ktheory_never_builds_v(self, monkeypatch):
         seen = []
@@ -538,7 +622,7 @@ class TestSmithBudget:
         assert cli_main(["ktheory", block_dgraph(random.Random(5), 20, 1, 1), "--json"]) == 0
         assert cli_main(["realize", "N[-3]=1", "--json"]) == 0
         assert len(seen) >= 3
-        assert all("V" not in vars(res) for res in seen)
+        assert all("U" not in vars(res) and "V" not in vars(res) for res in seen)
 
 
 def wide_cycle(n: int = 100, m: int = 10**50) -> str:
