@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import mod
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .artin import (
     AbGroup,
@@ -40,9 +40,10 @@ from .graphs import LimitExceeded, ParseError, _bits, int_digits_limit, parse_co
 # Largest vertex count a dgraph may declare; the header is otherwise taken
 # on trust and sizes every K-theory matrix and vertex scan.
 DGRAPH_MAX = 1_000
-# Cap on the weighted cells one Smith normal form writes: the 1 000-vertex
-# cycle with multiplicity 2 takes 5.5e6, dense k x k matrices with entries
-# in [-9, 9] take 1.2e8 at k = 60 and 4.8e8 at k = 70.
+# Cap on the weighted cells one Smith normal form writes, its reduction plus
+# one replay of U or V.  The reduction takes 25 002 on the 1 000-vertex cycle
+# with multiplicity 2, and 1 164 705 / 2 673 710 on dense 60 / 70-square
+# matrices with entries in [-9, 9]; U adds 3.1e6, 3.1e7, 1.2e8 and V 999, 3.8e7, 1.5e8.
 SNF_BUDGET = 300_000_000
 
 
@@ -169,15 +170,10 @@ def format_dgraph(dg: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The row operations of one reduction pass, in the order made: the pivot
-# row k, the row swapped into it (k for none), the sign row k was then
-# multiplied by, the steps (i, q), each row i -= q * row k, and the row
-# added into row k at the end (k for none).
-RowPass = tuple[int, int, int, tuple[tuple[int, int], ...], int]
-# The column operations of one reduction pass: the pivot column k, the
-# column swapped into it (k itself for none), and the steps (j, q), each
-# column j -= q * column k.
-ColumnPass = tuple[int, int, tuple[tuple[int, int], ...]]
+# One elementary operation (a, b, q) on a list of vectors: vector a -= q *
+# vector b, a sign flip when a = b and q = 2, a swap of a and b when q = 0.
+# A row step row r -= q * row k is recorded as it acts on U's columns: (k, r, q).
+Operation = tuple[int, int, int]
 
 
 def _cells(entries: Collection[int]) -> int:
@@ -199,12 +195,12 @@ class SmithDecomposition:
     """D = U * A * V with U, V unimodular and D diagonal, d1 | d2 | ... >= 0.
 
     The reduction leaves D, the row and column operations it made and the
-    weighted cells it wrote; U and V are built from those on first read.
+    weighted cells it wrote; U and V are replayed from those on first read.
     """
 
     D: tuple[tuple[int, ...], ...]
-    row_ops: tuple[RowPass, ...] = field(repr=False)
-    column_ops: tuple[ColumnPass, ...] = field(repr=False)
+    row_ops: tuple[Operation, ...] = field(repr=False)
+    column_ops: tuple[Operation, ...] = field(repr=False)
     work: int = field(repr=False)
 
     @property
@@ -217,48 +213,50 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d)
 
-    def u_columns(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
-        """The columns of U cut down to ``rows``: entry t of column c is
-        U[rows[t]][c].
-
-        U is the product E_T ... E_1 of the recorded row operations, so row
-        r of U is e_r E_T ... E_1, and each operation, taken from the last,
-        changes one coordinate of every wanted row.  The rows are kept as
-        one sparse column {t: entry} per coordinate, so a step costs the
-        nonzeros it moves.  Each is charged (``_cells``) on top of the
-        reduction's work, against ``SNF_BUDGET``.
+    def _replay(
+        self, ops: Iterable[Operation], rows: Sequence[int], size: int
+    ) -> list[tuple[int, ...]]:
+        """Vectors 0 .. size - 1, dense, after ``ops`` act in turn on a start
+        that sets entry t of vector rows[t] to 1 for each t.  A vector is a
+        sparse {t: entry} dict of its nonzeros, built when an operation first
+        reaches it.  A step is charged the nonzeros it moves (``_cells``) on
+        top of the reduction's work, against ``SNF_BUDGET``.
         """
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        cols: list[dict[int, int]] = [{} for _ in range(m)]
+        vectors: list[dict[int, int] | None] = [None] * size
         for t, r in enumerate(rows):
-            cols[r][t] = 1
+            vectors[r] = vectors[r] or {}
+            vectors[r][t] = 1
         work = self.work
-        for k, i, sign, steps, stray in reversed(self.row_ops):
-            pivot = cols[k]
-            if stray != k:
-                target = cols[stray]
-                for t, x in pivot.items():
-                    target[t] = target.get(t, 0) + x
-                work += _cells(pivot.values())
-            for j, q in steps:
-                source = cols[j]
+        for a, b, q in ops:
+            if not q:
+                vectors[a], vectors[b] = vectors[b], vectors[a]
+            elif a == b and vectors[a]:
+                vectors[a] = {t: -x for t, x in vectors[a].items()}
+            elif source := vectors[b]:
+                target = vectors[a] = vectors[a] or {}
                 for t, x in source.items():
-                    pivot[t] = pivot.get(t, 0) - q * x
+                    y = target.get(t, 0) - q * x
+                    if y:
+                        target[t] = y
+                    else:
+                        del target[t]
                 work += _cells(source.values())
-            if sign < 0:
-                cols[k] = {t: -x for t, x in pivot.items()}
-            cols[k], cols[i] = cols[i], cols[k]
-            if work > SNF_BUDGET:
-                raise _over_budget(m, n)
-        width = len(rows)
+                if work > SNF_BUDGET:
+                    raise _over_budget(len(self.D), len(self.D[0]))
         dense = []
-        for col in cols:
-            entries = [0] * width
-            for t, x in col.items():
+        for vector in vectors:
+            entries = [0] * len(rows)
+            for t, x in (vector or {}).items():
                 entries[t] = x
             dense.append(tuple(entries))
         return dense
+
+    def u_columns(self, rows: Sequence[int]) -> list[tuple[int, ...]]:
+        """The columns of U cut down to ``rows``: entry t of column c is
+        U[rows[t]][c].  U is the product E_T ... E_1 of the row operations,
+        so row r of U is e_r E_T ... E_1, replayed from the last operation.
+        """
+        return self._replay(reversed(self.row_ops), rows, len(self.D))
 
     @cached_property
     def U(self) -> tuple[tuple[int, ...], ...]:
@@ -267,29 +265,9 @@ class SmithDecomposition:
 
     @cached_property
     def V(self) -> tuple[tuple[int, ...], ...]:
-        """The column operations replayed on the transpose of I_n.
-
-        A swap of columns k and j swaps two rows of the transpose, and a step
-        updates only the nonzeros of its row k: the rows of V that the step
-        changes.  Each such cell is charged (``_cells``) on top of the
-        reduction's work, against ``SNF_BUDGET``.
-        """
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-        work = self.work
-        for k, c, steps in self.column_ops:
-            vt[k], vt[c] = vt[c], vt[k]
-            pivot = vt[k]
-            support = list(compress(range(n), pivot))
-            for j, q in steps:
-                row = vt[j]
-                for r in support:
-                    row[r] -= q * pivot[r]
-            work += _cells([pivot[r] for r in support]) * len(steps)
-            if work > SNF_BUDGET:
-                raise _over_budget(m, n)
-        return tuple(zip(*vt))
+        """The column operations replayed forwards on the columns of I_n."""
+        n = len(self.D[0]) if self.D else 0
+        return tuple(zip(*self._replay(self.column_ops, range(n), n)))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
@@ -301,8 +279,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     Exact big integers throughout, so intermediate growth can never
     overflow.  Deterministic for a fixed input.
 
-    The work is done on A alone, and D is what it leaves.  Row and column
-    operations are recorded for U and V, which are built only when read.
+    The work is done on A alone, and D is what it leaves.  Each row and
+    column operation is recorded where it is made, for U and V, which are
+    built only when read.
     Each pass puts the pivot in place with its row positive.  The row step
     reduces the entries below it, on the pivot row's nonzero columns only;
     the column step those right of it, on the rows nonzero in its column
@@ -316,8 +295,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     if not set(map(type, chain.from_iterable(a))) <= {int}:
         raise TypeError("matrix entries must be ints")
     W = [[*row] for row in a]
-    row_ops: list[RowPass] = []
-    column_ops: list[ColumnPass] = []
+    row_ops: list[Operation] = []
+    column_ops: list[Operation] = []
     k = work = 0
     while k < min(m, n):
         pivot = None
@@ -336,38 +315,40 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             break
         i, c = pivot
         W[k], W[i] = W[i], W[k]
+        if i != k:
+            row_ops.append((k, i, 0))
         if c != k:
             for row in W[k:]:
                 row[k], row[c] = row[c], row[k]
-        sign = 1
+            column_ops.append((k, c, 0))
         if W[k][k] < 0:
             W[k] = [-x for x in W[k]]
-            sign = -1
+            row_ops.append((k, k, 2))
         top = W[k]
         p = top[k]
         weight = 1 + max(max(top), -min(top)).bit_length() // 64
         support = list(compress(range(n), top))
-        row_steps = []
+        made = len(row_ops)
         for r in range(k + 1, m):
             row = W[r]
             q = row[k] // p
             if q:
                 for j in support:
                     row[j] -= q * top[j]
-                row_steps.append((r, q))
-        work += weight * len(support) * len(row_steps)
+                row_ops.append((k, r, q))
+        work += weight * len(support) * (len(row_ops) - made)
         # Rows above k are clear from column k on; the pivot row is the only
         # carrier once the row step has cleared the column.
         carriers = [row for row in W[k:] if row[k]]
-        steps = []
+        made = len(column_ops)
         for j in support:
             if j > k:
                 q = top[j] // p
                 if q:
                     for row in carriers:
                         row[j] -= q * row[k]
-                    steps.append((j, q))
-        work += weight * len(carriers) * len(steps)
+                    column_ops.append((j, k, q))
+        work += weight * len(carriers) * (len(column_ops) - made)
         if work > SNF_BUDGET:
             raise _over_budget(m, n)
         done = not any(top[k + 1 :]) and len(carriers) == 1
@@ -377,10 +358,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             stray = next((r for r in range(k + 1, m) if any(x % p for x in W[r][k + 1 :])), k)
             if stray != k:
                 W[k] = [x + y for x, y in zip(top, W[stray])]
-        if i != k or sign < 0 or row_steps or stray != k:
-            row_ops.append((k, i, sign, tuple(row_steps), stray))
-        if c != k or steps:
-            column_ops.append((k, c, tuple(steps)))
+                row_ops.append((stray, k, -1))
         if done and stray == k:
             k += 1
     return SmithDecomposition(

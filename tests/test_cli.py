@@ -344,10 +344,11 @@ class TestEnumerate:
         assert doc["graph_count"] == len(doc["classes"])
         assert doc["distinct_normal_forms"] == 9
 
-    def test_six_vertex_census_bytes(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "6", "--json")
+    @pytest.mark.parametrize("n, digest", [(6, "a52efe06dbc28da6"), (7, "eebabdc9ad95357b")])
+    def test_census_bytes(self, capsys, n, digest):
+        code, out, _ = run_cli(capsys, "enumerate", str(n), "--json")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest().startswith("a52efe06dbc28da6")
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
     def test_zero_vertex_census(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "0", "--json")
@@ -615,6 +616,13 @@ class TestKTheory:
         code, out, _ = run_cli(capsys, "ktheory", text)
         assert code == 0
         assert "condition (K): fails" in out
+
+    def test_thousand_cycle_json_bytes(self, capsys):
+        # The 1 000-cycle with multiplicity 2: K0 = Z/(2^1000 - 1), K1 = 0.
+        text = "dvertices: 1000\n" + "".join(f"{v} {(v + 1) % 1000} 2\n" for v in range(1000))
+        code, out, _ = run_cli(capsys, "ktheory", text, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("75c964766ae9b526")
 
     def test_dense_component_is_exit_0(self, capsys):
         # 0 <-> 1 and 1 <-> each vertex of a complete digraph on 2..13: one

@@ -608,6 +608,17 @@ class TestSmithBudget:
         for name in ("U", "V"):
             with pytest.raises(LimitExceeded, match=rf"Smith normal form .* {snf.work} .* 6 x 5 matrix"):
                 getattr(fresh, name)
+        # A read is charged one cell per nonzero entry its steps move (all
+        # entries here are under 64 bits).  U's replay of this matrix cancels
+        # an entry to 0, which is then neither kept nor moved again.
+        a = random_matrix(random.Random(6), 4, 4)
+        work = smith_normal_form(a).work
+        for name, charge in (("U", 27), ("V", 36)):
+            monkeypatch.setattr(kgraph, "SNF_BUDGET", work + charge - 1)
+            with pytest.raises(LimitExceeded, match="Smith normal form"):
+                getattr(smith_normal_form(a), name)
+            monkeypatch.setattr(kgraph, "SNF_BUDGET", work + charge)
+            getattr(smith_normal_form(a), name)
 
     def test_v_is_built_once(self):
         snf = smith_normal_form(random_matrix(random.Random(3), 6, 5))
