@@ -109,7 +109,7 @@ def detect_format(text: str) -> str:
         return "dgraph"
     if any("=" in line for line in lines):
         return "profile"
-    tokens = text.split()
+    tokens = text.split(maxsplit=1)
     if len(tokens) == 1 and is_graph6_token(tokens[0]):
         return "graph6"
     return "edges"

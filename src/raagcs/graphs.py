@@ -9,10 +9,13 @@ the one-byte header below 63 vertices and the ``~`` header from 63 on.
 from __future__ import annotations
 
 import base64
+import re
 import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, filterfalse, islice, repeat
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 # Largest vertex count an undirected input may declare or name: a
@@ -196,13 +199,30 @@ def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
     return int(body)
 
 
+# A ``#`` and the rest of its line: the class holds every line boundary of
+# ``str.splitlines``.  Each comment becomes one blank, so the line keeps its
+# number: removed outright, "\r# c\n" would leave one "\r\n" break.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def significant_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number from 1, line) for each line that holds more than a ``#``
     comment and blanks, with the comment and the outer blanks stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    return zip(*_significant_columns(text))
+
+
+def _significant_columns(text: str) -> tuple[Iterator[int], Iterator[str]]:
+    """The line numbers and the lines of ``significant_lines`` as two
+    aligned iterators, which build no pair per line."""
+    if "#" in text:
+        text = _COMMENT.sub(" ", text)
+    lines = list(map(str.strip, text.splitlines()))
+    return compress(count(1), lines), filter(None, lines)
+
+
+# Significant lines ``parse_edge_list`` tokenises at once: the memory of its
+# tokens grows with this, not with the text.
+EDGE_LIST_CHUNK = 2_048
 
 
 def parse_edge_list(text: str) -> UndirectedGraph:
@@ -212,49 +232,96 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     (the way to get isolated vertices).  Every other significant line names
     one edge as two whitespace-separated labels (``significant_lines``).
     Duplicate edges are deduplicated with a warning; self-loops are errors.
-    A declared count or a number of distinct labels above ``EDGE_LIST_MAX``
-    raises ``LimitExceeded`` before any vertex is allocated.
+    The first offending line raises, after the duplicate warnings of the
+    lines before it; within a line a misplaced or repeated header comes
+    first, then the label count, the self-loop and the cap.  A declared
+    count or a number of distinct labels above ``EDGE_LIST_MAX`` raises
+    ``LimitExceeded`` before any adjacency row is allocated; labels are
+    counted a chunk at a time, so at most one chunk's labels past the cap
+    are held.
+
+    Lines are read ``EDGE_LIST_CHUNK`` at a time.  A chunk of edge lines,
+    each followed by `` # ``, splits into tokens of which every third is
+    that separator exactly when each line holds two labels (no label holds
+    a ``#``), so each rule is one pass over the chunk's tokens.  The rows
+    hold twice as many bits as edge lines exactly when no line repeats an
+    edge; only otherwise are the duplicates looked for.
     """
     index: dict[str, int] = {}
     adj: list[int] = []
     declared: int | None = None
-    for lineno, line in significant_lines(text):
-        if line.startswith("vertices:"):
+    total = 0  # bits set in adj, twice the distinct edges so far
+    line_numbers, lines = _significant_columns(text)
+    while chunk := list(islice(lines, EDGE_LIST_CHUNK)):
+        numbers = list(islice(line_numbers, EDGE_LIST_CHUNK))
+        while chunk:
+            # A line starts with "vertices:" exactly where the joined text
+            # or a "# " in it does: no line holds a "#".
+            joined = " # ".join((*chunk, ""))
+            head = len(chunk)
+            if joined.startswith("vertices:") or "# vertices:" in joined:
+                head = next(compress(count(), map(str.startswith, chunk, repeat("vertices:"))))
+                joined = " # ".join((*chunk[:head], ""))
+            tokens = joined.split()
+            stop, error = head, None
+            if len(tokens) != 3 * stop or tokens[2::3].count("#") != stop:
+                stop = next(i for i, line in enumerate(chunk) if len(line.split()) != 2)
+                got = len(chunk[stop].split())
+                error = ParseError(
+                    f"expected two labels per edge line, got {got}", numbers[stop]
+                )
+            firsts, seconds = tokens[: 3 * stop : 3], tokens[1 : 3 * stop : 3]
+            loop = next(compress(count(), map(eq, firsts, seconds)), None)
+            if loop is not None:
+                stop = loop
+                error = ParseError(f"self-loop at {firsts[stop]!r}", numbers[stop])
+                del firsts[stop:], seconds[stop:]
+            us, vs = list(map(index.get, firsts)), list(map(index.get, seconds))
+            if None in us or None in vs:
+                fresh = dict.fromkeys(tokens[: 3 * stop])
+                fresh.pop("#", None)
+                fresh = list(filterfalse(index.__contains__, fresh))
+                room = EDGE_LIST_MAX - len(index)
+                if len(fresh) > room:
+                    stop = tokens.index(fresh[room]) // 3
+                    error = LimitExceeded(
+                        f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
+                        f"got {EDGE_LIST_MAX + 1} labels by line {numbers[stop]}"
+                    )
+                    del fresh[room:], firsts[stop:], seconds[stop:]
+                index.update(zip(fresh, count(len(index))))
+                adj.extend([0] * len(fresh))
+                us = list(map(index.__getitem__, firsts))
+                vs = list(map(index.__getitem__, seconds))
+            prior = adj.copy()
+            for u, v in zip(us, vs):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            bits = sum(map(int.bit_count, adj))
+            if bits != total + 2 * stop:  # replay the chunk on the old rows
+                for a, b, u, v, lineno in zip(firsts, seconds, us, vs, numbers):
+                    if prior[u] >> v & 1:
+                        warnings.warn(
+                            f"duplicate edge {a} {b} (line {lineno})",
+                            DuplicateEdgeWarning,
+                            stacklevel=2,
+                        )
+                    prior[u] |= 1 << v
+                    prior[v] |= 1 << u
+            total = bits
+            if error is not None:
+                raise error
+            if head == len(chunk):
+                break
+            lineno = numbers[head]
             if index:
                 raise ParseError("vertices: header must precede all edges", lineno)
             if declared is not None:
                 raise ParseError("repeated vertices: header", lineno)
             declared = parse_count_header(
-                line, "vertices:", EDGE_LIST_MAX, "edge lists", lineno
+                chunk[head], "vertices:", EDGE_LIST_MAX, "edge lists", lineno
             )
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected two labels per edge line, got {len(parts)}", lineno
-            )
-        a, b = parts
-        if a == b:
-            raise ParseError(f"self-loop at {a!r}", lineno)
-        for name in (a, b):
-            if name not in index:
-                if len(index) == EDGE_LIST_MAX:
-                    raise LimitExceeded(
-                        f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
-                        f"got {EDGE_LIST_MAX + 1} labels by line {lineno}"
-                    )
-                index[name] = len(index)
-                adj.append(0)
-        u, v = index[a], index[b]
-        if adj[u] >> v & 1:
-            warnings.warn(
-                f"duplicate edge {a} {b} (line {lineno})",
-                DuplicateEdgeWarning,
-                stacklevel=2,
-            )
-        else:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            chunk, numbers = chunk[head + 1 :], numbers[head + 1 :]
     if declared is not None and declared < len(index):
         warnings.warn(
             f"vertices: {declared} is below the {len(index)} labeled vertices",

@@ -5,12 +5,21 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import warnings
 from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from raagcs import OMEGA, InvariantProfile, UndirectedGraph
+from raagcs import (
+    OMEGA,
+    DuplicateEdgeWarning,
+    InvariantProfile,
+    LimitExceeded,
+    ParseError,
+    UndirectedGraph,
+)
+from raagcs.graphs import EDGE_LIST_MAX, parse_count_header
 from raagcs.kgraph import DirectedGraph
 
 
@@ -165,6 +174,63 @@ def reference_parse_graph6(text: str) -> tuple[int, set[tuple[int, int]]]:
     bits = [value >> (5 - k) & 1 for value in rest for k in range(6)]
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     return n, {pair for pair, bit in zip(pairs, bits) if bit}
+
+
+def reference_parse_edge_list(text: str) -> UndirectedGraph:
+    """The edge-list format read one line at a time, with its own comment
+    rule; the chunked ``parse_edge_list`` must give the same graph, the
+    same exception and the same warnings in the same order."""
+    index: dict[str, int] = {}
+    adj: list[int] = []
+    declared: int | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vertices:"):
+            if index:
+                raise ParseError("vertices: header must precede all edges", lineno)
+            if declared is not None:
+                raise ParseError("repeated vertices: header", lineno)
+            declared = parse_count_header(
+                line, "vertices:", EDGE_LIST_MAX, "edge lists", lineno
+            )
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(
+                f"expected two labels per edge line, got {len(parts)}", lineno
+            )
+        a, b = parts
+        if a == b:
+            raise ParseError(f"self-loop at {a!r}", lineno)
+        for name in (a, b):
+            if name not in index:
+                if len(index) == EDGE_LIST_MAX:
+                    raise LimitExceeded(
+                        f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
+                        f"got {EDGE_LIST_MAX + 1} labels by line {lineno}"
+                    )
+                index[name] = len(index)
+                adj.append(0)
+        u, v = index[a], index[b]
+        if adj[u] >> v & 1:
+            warnings.warn(
+                f"duplicate edge {a} {b} (line {lineno})",
+                DuplicateEdgeWarning,
+                stacklevel=2,
+            )
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if declared is not None and declared < len(index):
+        warnings.warn(
+            f"vertices: {declared} is below the {len(index)} labeled vertices",
+            UserWarning,
+            stacklevel=2,
+        )
+    adj.extend([0] * ((declared or 0) - len(adj)))
+    return UndirectedGraph(len(adj), tuple(adj))
 
 
 def random_dgraph(rng: random.Random, max_n: int = 9) -> DirectedGraph:

@@ -227,6 +227,14 @@ class TestProfileSpecParsing:
             p("t")
         with pytest.raises(ParseError, match="unknown profile key"):
             p("N[a]=1")
+        # Every str.splitlines break separates tokens, and comment-only
+        # lines drop out; profile messages name no line.
+        with pytest.raises(ParseError, match="^duplicate key t$"):
+            p("t=1\x85# t=9 \r\nt=2")
+        with pytest.raises(ParseError, match="^malformed profile token 'x'$"):
+            p("t=1\u2028x")
+        with pytest.raises(ParseError, match="^bad count 'x'$"):
+            p("N[1]=1\r\n# c\x85o=x")
 
     def test_round_trip_on_grid(self):
         # t, o and N[-2..2] each in {0, 1, 2, inf}: 4 ** 7 = 16 384 profiles.

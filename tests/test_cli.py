@@ -86,6 +86,22 @@ class TestDetectFormat:
         assert detect_format("0 1\n1 2\n") == "edges"
         assert detect_format("vertices: 3\na b\n") == "edges"
 
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("A?", "graph6"),
+            ("A? \n", "graph6"),
+            ("A?  B?", "edges"),
+            ("", "edges"),
+            (" \t\n\u3000", "edges"),
+            ("A?\x85", "graph6"),
+            ("A? # c", "edges"),
+        ],
+    )
+    def test_graph6_is_one_token(self, text, fmt):
+        # One graph6 token and blanks; a comment is a second token.
+        assert detect_format(text) == fmt
+
     def test_equals_sign_in_a_comment_is_not_a_profile(self, capsys, validator):
         path = "# path, n=3\n0 1\n1 2\n"
         assert detect_format(path) == "edges"

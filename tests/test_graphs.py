@@ -35,6 +35,7 @@ from raagcs import (
     path_graph,
     to_graph6,
 )
+from raagcs import graphs as graphs_module
 from raagcs.graphs import EDGE_LIST_MAX, PROFILE_DIGITS_MAX, _lower, parse_decimal
 from conftest import (
     graphs,
@@ -43,6 +44,7 @@ from conftest import (
     reference_canonical_graph6,
     reference_components,
     reference_graph6,
+    reference_parse_edge_list,
     reference_parse_graph6,
     sparse_graph,
 )
@@ -245,6 +247,120 @@ class TestEdgeListParsing:
         assert parse_edge_list(path).n == EDGE_LIST_MAX
         with pytest.raises(LimitExceeded, match=f"got {EDGE_LIST_MAX + 1} labels"):
             parse_edge_list(path + f"v0 v{EDGE_LIST_MAX}\n")
+
+
+# Every line boundary of str.splitlines, and blanks that str.split breaks at.
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_BLANKS = (" ", "\t", "\u3000", "\x1f")
+
+
+def _edge_list_outcome(text: str) -> list[tuple]:
+    """What ``parse_edge_list`` and the one-line-at-a-time reference give on
+    a text: the graph or the exception's type, message and line, then the
+    warnings' categories and messages in order."""
+    outcomes = []
+    for parse in (parse_edge_list, reference_parse_edge_list):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = parse(text)
+            except (ParseError, LimitExceeded) as exc:
+                result = (type(exc), str(exc), getattr(exc, "line", None))
+        outcomes.append((result, [(w.category, str(w.message)) for w in caught]))
+    return outcomes
+
+
+def _edge_list_line(rng: random.Random, labels: list[str]) -> str:
+    """One line of an edge list, well formed or not."""
+    def blank() -> str:
+        return rng.choice(_BLANKS) * rng.randint(1, 2)
+
+    a, b, c = rng.choice(labels), rng.choice(labels), rng.choice(labels)
+    if rng.random() < 0.85:
+        return rng.choice(("", blank())) + a + blank() + b + rng.choice(("", blank(), " # note", "#"))
+    return rng.choice((
+        f"{a}{blank()}{b}{blank()}{c}",  # three labels
+        a,  # one label
+        f"{a}{blank()}{a}",  # self-loop
+        "", blank(), "# comment only", f"{blank()}#",
+        f"{a}#{b} {c}",  # a comment inside a would-be label leaves one label
+        f"vertices: {rng.randint(0, 40)}",
+        "vertices:x y",
+        f"vertices:{rng.randint(0, 5)}#note",
+    ))
+
+
+def _edge_list_text(rng: random.Random, lines: list[str]) -> str:
+    """The lines, each ended by a random line break, the last one maybe not."""
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text[:-1] if lines and rng.random() < 0.5 and not text.endswith("\r\n") else text
+
+
+class TestEdgeListAgainstReference:
+    """``parse_edge_list`` reads chunks of lines at a time; the reference
+    reads one line at a time.  They must agree on the graph, on the
+    exception and on every warning in order."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, graphs_module.EDGE_LIST_CHUNK])
+    def test_short_texts(self, monkeypatch, chunk):
+        monkeypatch.setattr(graphs_module, "EDGE_LIST_CHUNK", chunk)
+        rng = random.Random(27 + chunk)
+        for _ in range(1500):
+            labels = [str(i) for i in range(rng.randint(2, 12))] + ["a", "vertices:", "x:y"]
+            lines = [_edge_list_line(rng, labels) for _ in range(rng.randint(0, 20))]
+            if rng.random() < 0.3:
+                lines.insert(0, f"vertices: {rng.randint(0, 20)}")
+            text = _edge_list_text(rng, lines)
+            new, ref = _edge_list_outcome(text)
+            assert new == ref, text
+
+    def test_texts_longer_than_a_chunk(self):
+        # Errors and duplicates are placed by significant line, just before,
+        # at and after the first two chunk boundaries; blank and comment
+        # lines go in between, which moves no significant line.
+        chunk = graphs_module.EDGE_LIST_CHUNK
+        rng = random.Random(2048)
+        kinds = ("a b c", "lone", "q q", "vertices: 3", "duplicate", "duplicate")
+        for case in range(24):
+            pool = [f"v{i}" for i in range(rng.choice((60, 400, 4000)))]
+            lines = [" ".join(rng.sample(pool, 2)) for _ in range(rng.randint(2 * chunk + 8, 3 * chunk))]
+            if case % 2:
+                lines.insert(0, f"vertices: {rng.randint(0, 5000)}")
+            boundary = chunk * rng.choice((1, 2))
+            for offset in sorted(rng.sample(range(-2, 3), rng.randint(1, 2)), reverse=True):
+                kind = rng.choice(kinds)
+                lines.insert(boundary + offset, lines[rng.randrange(chunk)] if kind == "duplicate" else kind)
+            for _ in range(rng.randint(0, 3)):
+                lines.insert(rng.randrange(len(lines)), rng.choice(("", "# c", "\t")))
+            new, ref = _edge_list_outcome(_edge_list_text(rng, lines))
+            assert new == ref
+
+    @pytest.mark.parametrize("chunk", [1000, 1667, graphs_module.EDGE_LIST_CHUNK])
+    @pytest.mark.parametrize(
+        "before, cap_line, after",
+        [
+            (None, "v0 w", None),
+            ("v1 v1", "v0 w", None),  # an error on the line before the cap's
+            ("a b c", "v0 w", None),
+            (None, "v0 w", "v2 v2"),  # an error on the line after it
+            ("v3 v2", "v0 w", None),  # a duplicate before it warns first
+            (None, "w w", None),  # a self-loop on a new label outranks the cap
+            (None, "w v0 v1", None),
+            (None, "w x", None),  # the 10 001st label is the line's first
+        ],
+    )
+    def test_label_cap(self, monkeypatch, chunk, before, cap_line, after):
+        # 10 000 labels on 5 000 lines, so the cap's line is line 5 001, or
+        # 5 002 after a line before it.  Chunks of 1 000 lines put a chunk
+        # boundary just before line 5 001, chunks of 1 667 just before 5 002.
+        monkeypatch.setattr(graphs_module, "EDGE_LIST_CHUNK", chunk)
+        lines = [f"v{2 * i} v{2 * i + 1}" for i in range(EDGE_LIST_MAX // 2)]
+        lines += [line for line in (before, cap_line, after) if line is not None]
+        if before is not None:
+            lines.append("v4 v5")  # keeps the text past the lines that matter
+        new, ref = _edge_list_outcome("\n".join(lines))
+        assert new == ref
+        assert new[0][0] in (LimitExceeded, ParseError)
 
 
 class TestParseDecimal:

@@ -175,6 +175,16 @@ class TestDgraphFormat:
             parse_dgraph("dvertices: 1\n0 3 1\n")
         with pytest.raises(ParseError, match="^line 2: bad infinite emitter 'x'$"):
             parse_dgraph("dvertices: 1\nx *\n")
+        # Every str.splitlines break ends a line, and blank and comment-only
+        # lines keep their numbers.
+        with pytest.raises(ParseError, match="^line 5: bad edge endpoint 'x'$"):
+            parse_dgraph("dvertices: 2\r\n# c\r\n\x85 \u20280 x 1")
+        with pytest.raises(ParseError, match="^line 4: expected '<src> <dst> <mult>' or '<v> \\*'$"):
+            parse_dgraph("# c\x85dvertices: 2 \r\n\u2028 0 1\r\n")
+        with pytest.raises(ParseError, match="^line 4: missing dvertices: header$"):
+            parse_dgraph(" #\x85\r\n\u20280 1 1")
+        with pytest.raises(ParseError, match="^line 4: repeated dvertices: header$"):
+            parse_dgraph("dvertices: 1\r\n0 0 1 # c\x85\u2028dvertices: 1")
 
     @pytest.mark.parametrize(
         "text, message",
