@@ -218,6 +218,8 @@ class InvariantProfile:
 
     def __post_init__(self) -> None:
         keys = [k for k, _ in self.N]
+        if bad := [k for k in keys if type(k) is not int]:
+            raise TypeError(f"N key {bad[0]!r} is not an int")
         if keys != sorted(set(keys)):
             raise ValueError("N keys must be strictly increasing")
         if any(c.value == 0 for _, c in self.N):
@@ -234,7 +236,7 @@ class InvariantProfile:
         for k, v in sorted((N or {}).items()):
             count = ExtNat.of(v)
             if count.value != 0:
-                items.append((int(k), count))
+                items.append((k, count))
         return cls(ExtNat.of(t), ExtNat.of(o), tuple(items))
 
     def N_at(self, k: int) -> ExtNat:
@@ -335,7 +337,7 @@ def parse_profile_spec(text: str) -> InvariantProfile:
     order; omitted keys are zero.
     """
     counts: dict[str | int, ExtNat] = {}  # "t", "o" or the k of N[k]
-    for token in ";".join(line for _, line in significant_lines(text)).split(";"):
+    for token in ";".join(significant_lines(text)[1]).split(";"):
         token = token.strip()
         if not token:
             continue

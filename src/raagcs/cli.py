@@ -104,10 +104,10 @@ def _read_input(token: str) -> str:
 
 def detect_format(text: str) -> str:
     """Guess among profile, dgraph, graph6, and edges."""
-    lines = [line for _, line in significant_lines(text)]
-    if lines and lines[0].startswith("dvertices:"):
+    body = "\n".join(significant_lines(text)[1])
+    if body.startswith("dvertices:"):
         return "dgraph"
-    if any("=" in line for line in lines):
+    if "=" in body:
         return "profile"
     tokens = text.split(maxsplit=1)
     if len(tokens) == 1 and is_graph6_token(tokens[0]):

@@ -205,15 +205,10 @@ def parse_decimal(digits: str, what: str, line: int | None = None) -> int:
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number from 1, line) for each line that holds more than a ``#``
-    comment and blanks, with the comment and the outer blanks stripped."""
-    return zip(*_significant_columns(text))
-
-
-def _significant_columns(text: str) -> tuple[Iterator[int], Iterator[str]]:
-    """The line numbers and the lines of ``significant_lines`` as two
-    aligned iterators, which build no pair per line."""
+def significant_lines(text: str) -> tuple[Iterator[int], Iterator[str]]:
+    """The line numbers (from 1) and the lines, as two aligned iterators, of
+    each line that holds more than a ``#`` comment and blanks, with the
+    comment and the outer blanks stripped."""
     if "#" in text:
         text = _COMMENT.sub(" ", text)
     lines = list(map(str.strip, text.splitlines()))
@@ -228,17 +223,18 @@ EDGE_LIST_CHUNK = 2_048
 def parse_edge_list(text: str) -> UndirectedGraph:
     """Parse the line-oriented edge-list format.
 
-    An optional leading line ``vertices: <k>`` declares the vertex count
-    (the way to get isolated vertices).  Every other significant line names
+    The first significant line may be a header ``vertices: <k>`` that
+    declares the vertex count (the way to get isolated vertices); it is
+    the only place a header is read.  Every other significant line names
     one edge as two whitespace-separated labels (``significant_lines``).
     Duplicate edges are deduplicated with a warning; self-loops are errors.
     The first offending line raises, after the duplicate warnings of the
-    lines before it; within a line a misplaced or repeated header comes
-    first, then the label count, the self-loop and the cap.  A declared
-    count or a number of distinct labels above ``EDGE_LIST_MAX`` raises
-    ``LimitExceeded`` before any adjacency row is allocated; labels are
-    counted a chunk at a time, so at most one chunk's labels past the cap
-    are held.
+    lines before it; within a line a later header comes first (it must
+    precede all edges after an edge line, else it is a repeat), then the
+    label count, the self-loop and the cap.  A declared count or a number
+    of distinct labels above ``EDGE_LIST_MAX`` raises ``LimitExceeded``
+    before any adjacency row is allocated; labels are counted a chunk at a
+    time, so at most one chunk's labels past the cap are held.
 
     Lines are read ``EDGE_LIST_CHUNK`` at a time.  A chunk of edge lines,
     each followed by `` # ``, splits into tokens of which every third is
@@ -251,77 +247,71 @@ def parse_edge_list(text: str) -> UndirectedGraph:
     adj: list[int] = []
     declared: int | None = None
     total = 0  # bits set in adj, twice the distinct edges so far
-    line_numbers, lines = _significant_columns(text)
+    line_numbers, lines = significant_lines(text)
     while chunk := list(islice(lines, EDGE_LIST_CHUNK)):
         numbers = list(islice(line_numbers, EDGE_LIST_CHUNK))
-        while chunk:
-            # A line starts with "vertices:" exactly where the joined text
-            # or a "# " in it does: no line holds a "#".
-            joined = " # ".join((*chunk, ""))
-            head = len(chunk)
-            if joined.startswith("vertices:") or "# vertices:" in joined:
-                head = next(compress(count(), map(str.startswith, chunk, repeat("vertices:"))))
-                joined = " # ".join((*chunk[:head], ""))
-            tokens = joined.split()
-            stop, error = head, None
-            if len(tokens) != 3 * stop or tokens[2::3].count("#") != stop:
-                stop = next(i for i, line in enumerate(chunk) if len(line.split()) != 2)
-                got = len(chunk[stop].split())
-                error = ParseError(
-                    f"expected two labels per edge line, got {got}", numbers[stop]
-                )
-            firsts, seconds = tokens[: 3 * stop : 3], tokens[1 : 3 * stop : 3]
-            loop = next(compress(count(), map(eq, firsts, seconds)), None)
-            if loop is not None:
-                stop = loop
-                error = ParseError(f"self-loop at {firsts[stop]!r}", numbers[stop])
-                del firsts[stop:], seconds[stop:]
-            us, vs = list(map(index.get, firsts)), list(map(index.get, seconds))
-            if None in us or None in vs:
-                fresh = dict.fromkeys(tokens[: 3 * stop])
-                fresh.pop("#", None)
-                fresh = list(filterfalse(index.__contains__, fresh))
-                room = EDGE_LIST_MAX - len(index)
-                if len(fresh) > room:
-                    stop = tokens.index(fresh[room]) // 3
-                    error = LimitExceeded(
-                        f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
-                        f"got {EDGE_LIST_MAX + 1} labels by line {numbers[stop]}"
-                    )
-                    del fresh[room:], firsts[stop:], seconds[stop:]
-                index.update(zip(fresh, count(len(index))))
-                adj.extend([0] * len(fresh))
-                us = list(map(index.__getitem__, firsts))
-                vs = list(map(index.__getitem__, seconds))
-            prior = adj.copy()
-            for u, v in zip(us, vs):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bits = sum(map(int.bit_count, adj))
-            if bits != total + 2 * stop:  # replay the chunk on the old rows
-                for a, b, u, v, lineno in zip(firsts, seconds, us, vs, numbers):
-                    if prior[u] >> v & 1:
-                        warnings.warn(
-                            f"duplicate edge {a} {b} (line {lineno})",
-                            DuplicateEdgeWarning,
-                            stacklevel=2,
-                        )
-                    prior[u] |= 1 << v
-                    prior[v] |= 1 << u
-            total = bits
-            if error is not None:
-                raise error
-            if head == len(chunk):
-                break
-            lineno = numbers[head]
-            if index:
-                raise ParseError("vertices: header must precede all edges", lineno)
-            if declared is not None:
-                raise ParseError("repeated vertices: header", lineno)
+        # Only the first significant line meets an empty index and no header.
+        if not index and declared is None and chunk[0].startswith("vertices:"):
             declared = parse_count_header(
-                chunk[head], "vertices:", EDGE_LIST_MAX, "edge lists", lineno
+                chunk[0], "vertices:", EDGE_LIST_MAX, "edge lists", numbers[0]
             )
-            chunk, numbers = chunk[head + 1 :], numbers[head + 1 :]
+            del chunk[0], numbers[0]
+        # A line starts with "vertices:" exactly where the joined text or a
+        # "# " in it does: no line holds a "#".
+        joined = " # ".join((*chunk, ""))
+        tokens = joined.split()
+        stop, error = len(chunk), None
+        if joined.startswith("vertices:") or "# vertices:" in joined:
+            stop = next(compress(count(), map(str.startswith, chunk, repeat("vertices:"))))
+            late = "vertices: header must precede all edges"
+            error = ParseError(late if index or stop else "repeated vertices: header", numbers[stop])
+        if len(tokens) != 3 * len(chunk) or tokens[2::3].count("#") != len(chunk):
+            bad = next(i for i, line in enumerate(chunk) if len(line.split()) != 2)
+            if bad < stop:
+                got = len(chunk[bad].split())
+                error = ParseError(f"expected two labels per edge line, got {got}", numbers[bad])
+                stop = bad
+        firsts, seconds = tokens[: 3 * stop : 3], tokens[1 : 3 * stop : 3]
+        loop = next(compress(count(), map(eq, firsts, seconds)), None)
+        if loop is not None:
+            stop = loop
+            error = ParseError(f"self-loop at {firsts[stop]!r}", numbers[stop])
+            del firsts[stop:], seconds[stop:]
+        us, vs = list(map(index.get, firsts)), list(map(index.get, seconds))
+        if None in us or None in vs:
+            fresh = dict.fromkeys(tokens[: 3 * stop])
+            fresh.pop("#", None)
+            fresh = list(filterfalse(index.__contains__, fresh))
+            room = EDGE_LIST_MAX - len(index)
+            if len(fresh) > room:
+                stop = tokens.index(fresh[room]) // 3
+                error = LimitExceeded(
+                    f"edge lists are capped at {EDGE_LIST_MAX} vertices, "
+                    f"got {EDGE_LIST_MAX + 1} labels by line {numbers[stop]}"
+                )
+                del fresh[room:], firsts[stop:], seconds[stop:]
+            index.update(zip(fresh, count(len(index))))
+            adj.extend([0] * len(fresh))
+            us = list(map(index.__getitem__, firsts))
+            vs = list(map(index.__getitem__, seconds))
+        prior = adj.copy()
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        bits = sum(map(int.bit_count, adj))
+        if bits != total + 2 * stop:  # replay the chunk on the old rows
+            for a, b, u, v, lineno in zip(firsts, seconds, us, vs, numbers):
+                if prior[u] >> v & 1:
+                    warnings.warn(
+                        f"duplicate edge {a} {b} (line {lineno})",
+                        DuplicateEdgeWarning,
+                        stacklevel=2,
+                    )
+                prior[u] |= 1 << v
+                prior[v] |= 1 << u
+        total = bits
+        if error is not None:
+            raise error
     if declared is not None and declared < len(index):
         warnings.warn(
             f"vertices: {declared} is below the {len(index)} labeled vertices",

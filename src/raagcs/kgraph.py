@@ -124,22 +124,21 @@ class DirectedGraph:
 def parse_dgraph(text: str) -> DirectedGraph:
     """Parse the directed-graph text format.
 
-    The header ``dvertices: <k>`` is mandatory.  Each following line is
-    either ``<src> <dst> <multiplicity>`` or ``<v> *`` to flag an infinite
-    emitter (``significant_lines``).  Repeated edge lines add up.  A
-    declared count above ``DGRAPH_MAX`` raises ``LimitExceeded``.
+    The header ``dvertices: <k>`` is mandatory and is the first significant
+    line (``significant_lines``).  Each later line is either ``<src> <dst>
+    <mult>`` or ``<v> *`` to flag an infinite emitter.  Repeated edge lines
+    add up.  A declared count above ``DGRAPH_MAX`` raises ``LimitExceeded``.
     """
-    n: int | None = None
     mult: dict[tuple[int, int], int] = {}
     emitters: set[int] = set()
-    for lineno, line in significant_lines(text):
+    line_numbers, lines = significant_lines(text)
+    head = next(lines, "")
+    if not head.startswith("dvertices:"):
+        raise ParseError("missing dvertices: header", next(line_numbers, None))
+    n = parse_count_header(head, "dvertices:", DGRAPH_MAX, "dgraphs", next(line_numbers))
+    for lineno, line in zip(line_numbers, lines):
         if line.startswith("dvertices:"):
-            if n is not None:
-                raise ParseError("repeated dvertices: header", lineno)
-            n = parse_count_header(line, "dvertices:", DGRAPH_MAX, "dgraphs", lineno)
-            continue
-        if n is None:
-            raise ParseError("missing dvertices: header", lineno)
+            raise ParseError("repeated dvertices: header", lineno)
         parts = line.split()
         if len(parts) == 2 and parts[1] == "*":
             emitters.add(_vertex_field(parts[0], n, "infinite emitter", lineno))
@@ -148,8 +147,6 @@ def parse_dgraph(text: str) -> DirectedGraph:
             raise ParseError("expected '<src> <dst> <mult>' or '<v> *'", lineno)
         s, t = (_vertex_field(x, n, "edge endpoint", lineno) for x in parts[:2])
         mult[s, t] = mult.get((s, t), 0) + parse_decimal(parts[2], "multiplicity", lineno)
-    if n is None:
-        raise ParseError("missing dvertices: header")
     return DirectedGraph(n, mult, frozenset(emitters))
 
 

@@ -19,7 +19,7 @@ from raagcs import (
     ParseError,
     UndirectedGraph,
 )
-from raagcs.graphs import EDGE_LIST_MAX, parse_count_header
+from raagcs.graphs import EDGE_LIST_MAX, is_graph6_token, parse_count_header
 from raagcs.kgraph import DirectedGraph
 
 
@@ -231,6 +231,23 @@ def reference_parse_edge_list(text: str) -> UndirectedGraph:
         )
     adj.extend([0] * ((declared or 0) - len(adj)))
     return UndirectedGraph(len(adj), tuple(adj))
+
+
+def reference_detect_format(text: str) -> str:
+    """The CLI's format guess one line at a time, with its own comment rule:
+    a dgraph when the first significant line starts ``dvertices:``, a
+    profile when any significant line holds a ``=``, graph6 for one graph6
+    token, an edge list otherwise."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    if lines and lines[0].startswith("dvertices:"):
+        return "dgraph"
+    if any("=" in line for line in lines):
+        return "profile"
+    tokens = text.split(maxsplit=1)
+    if len(tokens) == 1 and is_graph6_token(tokens[0]):
+        return "graph6"
+    return "edges"
 
 
 def random_dgraph(rng: random.Random, max_n: int = 9) -> DirectedGraph:

@@ -177,6 +177,19 @@ class TestInvariantProfile:
         assert p("").is_empty
 
 
+class TestInvariantProfileKeys:
+    @pytest.mark.parametrize("key", [1.5, True, "3", 1.0])
+    def test_non_int_key_is_refused(self, key):
+        # Read as int(k), N={1.5: 1} would compare equal to N={1: 1}.
+        with pytest.raises(TypeError, match="N key"):
+            InvariantProfile.make(N={key: 1})
+        with pytest.raises(TypeError, match="N key"):
+            InvariantProfile(N=((key, ExtNat(1)),))
+
+    def test_int_keys_are_kept(self):
+        assert InvariantProfile.make(N={-2: 1, 3: 2}).N == ((-2, ExtNat(1)), (3, ExtNat(2)))
+
+
 class TestProfileSpecParsing:
     def test_basic(self):
         assert p("t=1") == InvariantProfile.make(t=1)

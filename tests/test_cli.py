@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -32,6 +33,7 @@ from raagcs.graphs import (
     to_graph6,
 )
 from raagcs.kgraph import DGRAPH_MAX
+from conftest import reference_detect_format
 
 try:
     import tomllib
@@ -110,6 +112,34 @@ class TestDetectFormat:
         assert code == 0
         _, want = run_json(capsys, validator, "classify", "t=1;N[-1]=1", "--json")
         assert doc["profile"] == want["profile"] == {"t": 1, "o": 0, "N": [[-1, 1]]}
+
+
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestDetectFormatAgainstReference:
+    """``detect_format`` reads one join of the significant lines; the
+    reference reads line by line with its own comment rule."""
+
+    PIECES = (
+        "", " \t", "# comment only", "# n=3", "# dvertices: 2", "#", " # x=y",
+        "dvertices: 3", " dvertices:2", "0 1 2", "2 *", "vertices: 4", "a b",
+        "a=b c", "t=1", "N[-1]=inf;o=2", "t = 1 # c", "D??", ">>graph6<<A?", "A?",
+        "a#=b", "=", "dvertices: 1 # t=1",
+    )
+
+    def test_seeded_texts(self):
+        rng = random.Random(28)
+        seen = set()
+        for _ in range(4000):
+            lines = [rng.choice(self.PIECES) for _ in range(rng.randint(0, 6))]
+            text = "".join(line + rng.choice(_BREAKS) for line in lines)
+            if rng.random() < 0.5:
+                text = text[: -1 if text and not text.endswith("\r\n") else None]
+            want = reference_detect_format(text)
+            assert detect_format(text) == want, repr(text)
+            seen.add(want)
+        assert seen == {"dgraph", "profile", "graph6", "edges"}
 
 
 class TestClassify:

@@ -363,6 +363,32 @@ class TestEdgeListAgainstReference:
         assert new[0][0] in (LimitExceeded, ParseError)
 
 
+@pytest.mark.parametrize("chunk", [1, 2_048])
+class TestEdgeListHeader:
+    """A ``vertices:`` header is read only as the first significant line; a
+    later one is refused at its own line, whatever the chunk size."""
+
+    def test_header_alone_gives_isolated_vertices(self, monkeypatch, chunk):
+        monkeypatch.setattr(graphs_module, "EDGE_LIST_CHUNK", chunk)
+        g = parse_edge_list("vertices: 2")
+        assert (g.n, g.edge_count) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertices: 3\n# c\nvertices: 4", "line 3: repeated vertices: header"),
+            ("vertices: 2\na b\nvertices: 3", "line 3: vertices: header must precede all edges"),
+        ],
+    )
+    def test_later_header_is_refused(self, monkeypatch, chunk, text, message):
+        monkeypatch.setattr(graphs_module, "EDGE_LIST_CHUNK", chunk)
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message and exc.value.line == 3
+        new, ref = _edge_list_outcome(text)
+        assert new == ref
+
+
 class TestParseDecimal:
     def test_digits_with_no_sign(self):
         # The sign of an N[k] key belongs to the profile grammar (test_artin

@@ -281,6 +281,19 @@ def det_oracle(m: list[list[int]]) -> int:
     return total
 
 
+
+class TestDgraphHeader:
+    @pytest.mark.parametrize("text", ["", "# only\n\n"])
+    def test_missing_header_without_lines_has_no_line_number(self, text):
+        with pytest.raises(ParseError, match=r"^missing dvertices: header$") as exc:
+            parse_dgraph(text)
+        assert exc.value.line is None
+
+    def test_missing_header_names_the_first_significant_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: missing dvertices: header$"):
+            parse_dgraph("# c\n\n0 1 1\ndvertices: 2\n")
+
+
 class TestIntegerDeterminant:
     def test_known_values(self):
         assert integer_determinant([]) == 1
