@@ -56,8 +56,9 @@ class ExtNat:
     The infinite value is ExtNat(None), exported as OMEGA.  It absorbs
     addition and compares above every finite value.  Instances compare
     equal to plain ints and to the string "inf", and hash as them, so
-    ExtNat(2) == 2 and OMEGA == "inf".  Only ``of`` reads None as OMEGA:
-    OMEGA != None, and ordering or adding with None raises TypeError.
+    ExtNat(2) == 2 and OMEGA == "inf".  None is no count: ``of`` refuses
+    it with TypeError, as it does any value but an ExtNat, an int or "inf",
+    so OMEGA != None, and ordering or adding with None raises TypeError.
     """
 
     value: int | None = 0
@@ -71,10 +72,10 @@ class ExtNat:
             raise ValueError("counts are nonnegative")
 
     @classmethod
-    def of(cls, x: "ExtNat | int | str | None") -> "ExtNat":
+    def of(cls, x: "ExtNat | int | str") -> "ExtNat":
         if isinstance(x, ExtNat):
             return x
-        if x is None or x == "inf":
+        if x == "inf":
             return OMEGA
         if isinstance(x, int) and not isinstance(x, bool):
             return cls(x)
@@ -85,8 +86,6 @@ class ExtNat:
         return self.value is not None
 
     def __add__(self, other: "ExtNat | int") -> "ExtNat":
-        if other is None:
-            return NotImplemented
         other = ExtNat.of(other)
         if self.value is None or other.value is None:
             return OMEGA
@@ -95,8 +94,6 @@ class ExtNat:
     __radd__ = __add__
 
     def __eq__(self, other: object) -> bool:
-        if other is None:
-            return NotImplemented
         try:
             other = ExtNat.of(other)  # type: ignore[arg-type]
         except TypeError:
@@ -107,8 +104,6 @@ class ExtNat:
         return hash("inf" if self.value is None else self.value)
 
     def __lt__(self, other: "ExtNat | int") -> bool:
-        if other is None:
-            return NotImplemented
         other = ExtNat.of(other)
         if self.value is None:
             return False
@@ -402,14 +397,12 @@ class AlgebraNormalForm:
     def stable(self) -> "AlgebraNormalForm":
         return replace(self, parity=PARITY_UNDEFINED)
 
-    def __str__(self) -> str:
-        """Canonical tensor expression for the algebra of this class.
-
-        Factors are sorted as T, O_inf, E_1^0, then E_{1+n} ascending in n;
-        a single O_inf appears exactly when omin = 1, that is o >= 1 with a
-        finite total; all signs render as +1 except that an odd parity puts
-        -1 on the single lowest E factor.  The empty profile renders "C".
-        """
+    def factors(self) -> list[tuple[ComponentClass, ExtNat]]:
+        """The algebra's tensor factors as (class, count), in the order
+        T, O_inf, E_1^0, then E_{1+n} ascending in n.  A single O_inf
+        appears exactly when omin = 1, that is o >= 1 with a finite total;
+        every E_{1+n} has sign +1 except that an odd parity puts -1 on the
+        single lowest E factor.  The empty profile has none."""
         groups: list[tuple[ComponentClass, ExtNat]] = []
         if self.t != 0:
             groups.append((Toeplitz(), self.t))
@@ -426,9 +419,11 @@ class AlgebraNormalForm:
                 if count == 0:
                     continue
             groups.append((FiniteExt(n), count))
-        if not groups:
-            return "C"
-        return " ⊗ ".join(_render_power(component_name(c), count) for c, count in groups)
+        return groups
+
+    def __str__(self) -> str:
+        """Canonical tensor expression of ``factors()``; "C" for none."""
+        return " ⊗ ".join(_render_power(component_name(c), n) for c, n in self.factors()) or "C"
 
 
 def normal_form(p: InvariantProfile) -> AlgebraNormalForm:

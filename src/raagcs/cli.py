@@ -57,6 +57,7 @@ from .euler import clique_counts
 from .graphs import (
     LimitExceeded,
     ParseError,
+    _COMMENT,
     complement_components,
     enumerate_graphs,
     induced_subgraph,
@@ -64,7 +65,6 @@ from .graphs import (
     parse_decimal,
     parse_edge_list,
     parse_graph6,
-    significant_lines,
     to_graph6,
 )
 from .kgraph import (
@@ -103,8 +103,10 @@ def _read_input(token: str) -> str:
 
 
 def detect_format(text: str) -> str:
-    """Guess among profile, dgraph, graph6, and edges."""
-    body = "\n".join(significant_lines(text)[1])
+    """Guess among profile, dgraph, graph6, and edges.  The comment-cut text
+    decides the first two: a dgraph if its first significant line starts
+    ``dvertices:``, a profile if any ``=`` is left."""
+    body = _COMMENT.sub(" ", text).lstrip()
     if body.startswith("dvertices:"):
         return "dgraph"
     if "=" in body:

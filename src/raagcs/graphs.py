@@ -209,9 +209,7 @@ def significant_lines(text: str) -> tuple[Iterator[int], Iterator[str]]:
     """The line numbers (from 1) and the lines, as two aligned iterators, of
     each line that holds more than a ``#`` comment and blanks, with the
     comment and the outer blanks stripped."""
-    if "#" in text:
-        text = _COMMENT.sub(" ", text)
-    lines = list(map(str.strip, text.splitlines()))
+    lines = list(map(str.strip, _COMMENT.sub(" ", text).splitlines()))
     return compress(count(1), lines), filter(None, lines)
 
 

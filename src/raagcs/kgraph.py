@@ -33,7 +33,7 @@ from .artin import (
     component_ktheory,
     component_name,
     is_graph_algebra,
-    profile_components,
+    normal_form,
 )
 from .graphs import LimitExceeded, ParseError, _bits, int_digits_limit, parse_count_header, parse_decimal, reachable, significant_lines
 
@@ -543,14 +543,9 @@ class RealizationReport:
 
 
 def _single_factor(p: InvariantProfile) -> ComponentClass | None:
-    """The one tensor factor of a profile's algebra, or None.  Any o >= 1
-    with nothing else is one O_inf: O_inf (x) O_inf is O_inf again, and
-    its normal form is the one of o = 1."""
-    parts = profile_components(p)
-    if len(parts) != 1:
-        return None
-    factor, count = parts[0]
-    return factor if count == 1 or isinstance(factor, InfiniteComp) else None
+    """The one tensor factor of a profile's algebra, or None."""
+    factors = normal_form(p).factors()
+    return factors[0][0] if len(factors) == 1 and factors[0][1] == 1 else None
 
 
 def _template(factor: ComponentClass) -> DirectedGraph:

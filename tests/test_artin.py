@@ -103,7 +103,8 @@ class TestExtNat:
         with pytest.raises(TypeError):
             ExtNat.of(2.5)
         assert ExtNat.of("inf") is OMEGA
-        assert ExtNat.of(None) is OMEGA
+        with pytest.raises(TypeError):
+            ExtNat.of(None)
 
     def test_hash_agrees_with_inf(self):
         assert {OMEGA: 1}.get("inf") == 1
@@ -451,6 +452,13 @@ class TestNormalForm:
 
     def test_t_passes_through(self):
         assert normal_form(p("t=inf")).t == OMEGA
+
+    def test_factors(self):
+        assert normal_form(p("")).factors() == []
+        assert normal_form(p("o=2")).factors() == [(InfiniteComp(), 1)]
+        assert normal_form(p("o=1;N[1]=inf")).factors() == [(FiniteExt(1), OMEGA)]
+        assert normal_form(p("N[-2]=1;N[2]=1")).factors() == [(FiniteExt(-2), 1), (FiniteExt(2), 1)]
+        assert normal_form(p("t=1;N[0]=2")).factors() == [(Toeplitz(), 1), (FiniteExt(0), 2)]
 
 
 class TestExtNatConstructions:

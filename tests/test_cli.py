@@ -125,7 +125,8 @@ class TestDetectFormatAgainstReference:
         "", " \t", "# comment only", "# n=3", "# dvertices: 2", "#", " # x=y",
         "dvertices: 3", " dvertices:2", "0 1 2", "2 *", "vertices: 4", "a b",
         "a=b c", "t=1", "N[-1]=inf;o=2", "t = 1 # c", "D??", ">>graph6<<A?", "A?",
-        "a#=b", "=", "dvertices: 1 # t=1",
+        "a#=b", "=", "dvertices: 1 # t=1", "\u3000", "\xa0 ", "\x1f",
+        "\u3000dvertices: 2", "\xa0t=1",
     )
 
     def test_seeded_texts(self):
@@ -140,6 +141,15 @@ class TestDetectFormatAgainstReference:
             assert detect_format(text) == want, repr(text)
             seen.add(want)
         assert seen == {"dgraph", "profile", "graph6", "edges"}
+
+    def test_edge_list_is_not_split_into_lines(self, monkeypatch):
+        # The parser splits the lines; detection reads the text as it is.
+        def refuse(text):
+            raise AssertionError("detect_format split the lines")
+
+        monkeypatch.setattr(cli, "significant_lines", refuse, raising=False)
+        text = "".join(f"{i} {i + 1}\n" for i in range(100_000))
+        assert detect_format(text) == "edges"
 
 
 class TestClassify:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from raagcs import (
     AbGroup,
     DirectedGraph,
+    InvariantProfile,
     NotRealizable,
     ParseError,
     RealizationNotImplemented,
@@ -30,7 +32,7 @@ from raagcs import (
     verify_realization,
 )
 import raagcs.kgraph as kgraph
-from raagcs.artin import PROFILE_DIGITS_MAX, TRIVIAL_GROUP, Z_GROUP
+from raagcs.artin import PROFILE_DIGITS_MAX, TRIVIAL_GROUP, Z_GROUP, profile_spec_string
 from raagcs.cli import main as cli_main
 from raagcs.graphs import LimitExceeded
 from raagcs.kgraph import DGRAPH_MAX, strongly_connected_regular
@@ -844,6 +846,30 @@ class TestRealize:
             realize(p(""))
         with pytest.raises(RealizationNotImplemented):
             realize(p("o=2;N[1]=1"))
+
+    def test_grid_outcomes(self):
+        # t, o and N[-2..2] each in {0, 1, 2, inf}: 4 ** 7 = 16 384 profiles.
+        # Exactly the single-factor ones realize; any o >= 1 alone is O_inf.
+        values = (0, 1, 2, "inf")
+        targets, raised = {}, collections.Counter()
+        for t, o, *counts in itertools.product(values, repeat=7):
+            prof = InvariantProfile.make(t, o, dict(zip(range(-2, 3), counts)))
+            try:
+                targets[profile_spec_string(prof)] = realize(prof)[1].target
+            except (NotRealizable, RealizationNotImplemented) as exc:
+                raised[type(exc)] += 1
+        assert targets == {
+            "t=1": "T",
+            "o=1": "O_inf",
+            "o=2": "O_inf",
+            "o=inf": "O_inf",
+            "N[-2]=1": "E_3^-1",
+            "N[-1]=1": "E_2^-1",
+            "N[0]=1": "E_1^0",
+            "N[1]=1": "E_2^+1",
+            "N[2]=1": "E_3^+1",
+        }
+        assert raised == {RealizationNotImplemented: 136, NotRealizable: 16_239}
 
     def test_failed_template_raises(self, monkeypatch):
         # A lone vertex is a sink that no other vertex reaches, so no sink
