@@ -413,7 +413,7 @@ def cmd_realize(args: argparse.Namespace) -> dict[str, Any]:
         "document": "realization",
         **head,
         "profile": _json(p),
-        "algebra_name": algebra_name(p),
+        "algebra_name": report.target,  # a realized algebra is its one factor
         "target": report.target,
         "dgraph": format_dgraph(dg),
         "verification": {**_json(report), "passed": report.passed},

@@ -486,47 +486,49 @@ def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedG
     return UndirectedGraph(len(vs), rows)
 
 
-def _twins(adj: tuple[int, ...], u: int, w: int) -> bool:
-    # Same neighbors apart from each other: swapping u and w is an automorphism.
-    mask = ~((1 << u) | (1 << w))
-    return adj[u] & mask == adj[w] & mask
-
-
 def _lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
     """Lower ``bound``, in place, to the least columns of any vertex order,
     yielding the position of each column it lowers.
 
-    Column k of an order lists its k-th vertex's adjacency to the k before
-    it, the first-placed vertex in the high bit: the order's upper-triangle
-    bits are its columns concatenated, and compare as the ints do.  Orders
-    grow one vertex at a time, each unplaced vertex's column gaining a bit
-    per placement.  A branch whose least column is above ``bound``'s is cut;
-    one below replaces it and resets every later column above all columns.
-    The vertices with the least column are expanded, twins only once.  So
-    the first yield says whether some order beats ``bound``, and running
-    the search out minimizes it.
+    Column k of an order lists its k-th vertex's adjacency to the k before it,
+    the first-placed vertex in the high bit: the order's upper-triangle bits
+    are its columns concatenated, and compare as the ints do.  Orders grow a
+    vertex at a time, the unplaced ones in cells ``(column, mask)`` ascending
+    by column.  Placing u appends its bit to each column, and a < c gives
+    2a + 1 < 2c: each cell splits in order into its non-neighbours and
+    neighbours of u, so ``cells[0]`` holds the least.  A branch whose least
+    column is above ``bound``'s is cut; one below replaces it and resets every
+    later column to ``1 << n``.  ``cells[0]`` is expanded ascending, each twin
+    class once (swapping twins is an automorphism; twins share a cell, found
+    by ``twins``, each open and closed neighbourhood row's vertices).  The
+    first yield says if some order beats ``bound``; the full run minimizes it.
     """
-    top = 1 << n  # above every column: placed vertices never win a min
+    twins: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            twins[key] = twins.get(key, 0) | 1 << v
 
-    def rec(k: int, cols: list[int]) -> Iterator[int]:
-        if k == n:
+    def rec(k: int, cells: list[tuple[int, int]]) -> Iterator[int]:
+        if k == n or cells[0][0] > bound[k]:
             return
-        least = min(cols)
-        if least > bound[k]:
-            return
+        least, todo = cells[0]
         if least < bound[k]:
-            bound[k:] = [least] + [top] * (n - k - 1)
+            bound[k:] = [least] + [1 << n] * (n - k - 1)
             yield k
-        reps: list[int] = []
-        for u, col in enumerate(cols):
-            if col == least and not any(_twins(adj, u, w) for w in reps):
-                reps.append(u)
-                row = adj[u]
-                nxt = [c << 1 | row >> v & 1 for v, c in enumerate(cols)]
-                nxt[u] = top
-                yield from rec(k + 1, nxt)
+        while todo:
+            b = todo & -todo
+            row = adj[b.bit_length() - 1]
+            todo &= ~(twins[row] | twins[row | b])
+            off = ~(row | b)
+            nxt = []
+            for col, mask in cells:
+                if lo := mask & off:
+                    nxt.append((col << 1, lo))
+                if hi := mask & row:
+                    nxt.append((col << 1 | 1, hi))
+            yield from rec(k + 1, nxt)
 
-    return rec(0, [0] * n)
+    return rec(0, [(0, (1 << n) - 1)])
 
 
 def canonical_form(g: UndirectedGraph) -> bytes:

@@ -587,7 +587,7 @@ def realize(p: InvariantProfile) -> tuple[DirectedGraph, RealizationReport]:
             f"this profile has {p.component_count} factors"
         )
     dg = _template(factor)
-    report = verify_realization(dg, p)
+    report = _verify(dg, factor)
     if not report.passed:
         raise RuntimeError(
             f"template for {component_name(factor)} failed self-verification: "
@@ -613,7 +613,10 @@ def verify_realization(dg: DirectedGraph, p: InvariantProfile) -> RealizationRep
     is purely infinite and simple, so its graph is cofinal with condition
     (L), which gives (K) (Kumjian, Pask, Raeburn and Renault, 1997).
     """
-    factor = _single_factor(p)
+    return _verify(dg, _single_factor(p))
+
+
+def _verify(dg: DirectedGraph, factor: ComponentClass | None) -> RealizationReport:
     if factor is None:
         raise ValueError("verify_realization needs a single-factor profile")
     want = component_ktheory(factor)

@@ -6,7 +6,7 @@ import itertools
 import random
 import sys
 import warnings
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -159,6 +159,39 @@ def reference_canonical_graph6(g: UndirectedGraph) -> str:
     return reference_graph6(
         n, {(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges}
     )
+
+
+def reference_lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
+    """The column search over a list of n column ints, every placed vertex's
+    set above all, with a pairwise twin test against the vertices already
+    expanded; ``graphs._lower`` must yield the same positions, expand as
+    many nodes and leave the same ``bound``."""
+    top = 1 << n
+
+    def twins(u: int, w: int) -> bool:
+        # Same neighbors apart from each other: swapping u and w is an automorphism.
+        mask = ~((1 << u) | (1 << w))
+        return adj[u] & mask == adj[w] & mask
+
+    def rec(k: int, cols: list[int]) -> Iterator[int]:
+        if k == n:
+            return
+        least = min(cols)
+        if least > bound[k]:
+            return
+        if least < bound[k]:
+            bound[k:] = [least] + [top] * (n - k - 1)
+            yield k
+        reps: list[int] = []
+        for u, col in enumerate(cols):
+            if col == least and not any(twins(u, w) for w in reps):
+                reps.append(u)
+                row = adj[u]
+                nxt = [c << 1 | row >> v & 1 for v, c in enumerate(cols)]
+                nxt[u] = top
+                yield from rec(k + 1, nxt)
+
+    return rec(0, [0] * n)
 
 
 def reference_parse_graph6(text: str) -> tuple[int, set[tuple[int, int]]]:

@@ -22,6 +22,7 @@ import raagcs.artin as artin
 import raagcs.cli as cli
 import raagcs.euler as euler
 import raagcs.graphs as graphs
+import raagcs.kgraph as kgraph
 from raagcs.artin import PROFILE_DIGITS_MAX
 from raagcs.cli import detect_format, load_golden, main
 from raagcs.graphs import (
@@ -351,7 +352,7 @@ class TestNormalFormPasses:
             calls.append(prof)
             return real(prof)
 
-        for module in (artin, cli):
+        for module in (artin, cli, kgraph):
             monkeypatch.setattr(module, "normal_form", counted)
         return calls
 
@@ -400,7 +401,10 @@ class TestEnumerate:
         assert doc["graph_count"] == len(doc["classes"])
         assert doc["distinct_normal_forms"] == 9
 
-    @pytest.mark.parametrize("n, digest", [(6, "a52efe06dbc28da6"), (7, "eebabdc9ad95357b")])
+    @pytest.mark.parametrize(
+        "n, digest",
+        [(6, "a52efe06dbc28da6"), (7, "eebabdc9ad95357b"), (8, "d31cc1ca930231c1")],
+    )
     def test_census_bytes(self, capsys, n, digest):
         code, out, _ = run_cli(capsys, "enumerate", str(n), "--json")
         assert code == 0

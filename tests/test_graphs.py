@@ -44,6 +44,7 @@ from conftest import (
     reference_canonical_graph6,
     reference_components,
     reference_graph6,
+    reference_lower,
     reference_parse_edge_list,
     reference_parse_graph6,
     sparse_graph,
@@ -708,3 +709,58 @@ class TestEnumeration:
             enumerate_graphs(4)
         with pytest.raises(ValueError):
             enumerate_graphs(-1)
+
+
+def run_search(search, adj: tuple[int, ...], n: int, bound: list[int]) -> tuple[list[int], int]:
+    """The positions a column search yields, run out, and its node count: the
+    ``rec`` frames it opens, one per vertex order prefix it expands."""
+    frames = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name == "rec":
+            frames.add(frame)
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return list(search(adj, n, bound)), len(frames)
+    finally:
+        sys.settrace(outer)
+
+
+def assert_lower_matches_reference(adj: tuple[int, ...], n: int, bound: list[int]) -> None:
+    """``_lower`` and ``reference_lower`` yield the same positions, expand
+    the same number of nodes and leave the same columns, run out from copies
+    of ``bound``."""
+    ours, theirs = list(bound), list(bound)
+    assert run_search(_lower, adj, n, ours) == run_search(reference_lower, adj, n, theirs)
+    assert ours == theirs
+
+
+class TestLowerAgainstReference:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_extension_enumeration_tries(self, k):
+        # From each canonical parent's column floor up, as enumerate_graphs
+        # tries them, run out instead of stopped at the first yield.
+        for parent in enumerate_graphs(k - 1):
+            head = identity_columns(parent)
+            for c in range(column_floor(head), 1 << (k - 1)):
+                g = extend(parent, c)
+                assert_lower_matches_reference(g.adjacency, k, head + [c])
+
+    @pytest.mark.parametrize("seed_", range(4))
+    def test_random_graphs_from_above(self, seed_):
+        # canonical_form's route: every column starts above all columns.
+        rng = random.Random(seed_)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert_lower_matches_reference(g.adjacency, n, [1 << n] * n)
+
+    @pytest.mark.parametrize("seed_", range(4))
+    def test_random_graphs_under_another_graphs_columns(self, seed_):
+        rng = random.Random(100 + seed_)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            g, h = (random_graph(rng, n, rng.choice((0.2, 0.5, 0.8))) for _ in range(2))
+            assert_lower_matches_reference(g.adjacency, n, identity_columns(h))
