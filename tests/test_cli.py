@@ -410,6 +410,22 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["6"], "8fcd4efd57f53913"),
+            (["8"], "99f597e1c5ca502e"),
+            (["5", "--golden"], "bc19d7cbe5cf3a5f"),
+            (["5", "--golden", "--json"], "5783fddf0a4014f3"),
+            (["0", "--json"], "566f6e6389872627"),
+        ],
+        ids=" ".join,
+    )
+    def test_text_and_golden_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
     def test_zero_vertex_census(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "0", "--json")
         assert code == 0
@@ -458,9 +474,12 @@ class TestEnumerate:
         assert doc["golden"]["mismatches"] == ["golden data covers n = 5, not n = 4"]
 
     def test_over_cap_is_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "9")
+        code, out, err = run_cli(capsys, "enumerate", "9")
         assert code == 3
         assert "capped" in err
+        # The cap is met before the document's first byte is written.
+        assert out == ""
+        assert run_cli(capsys, "enumerate", "9", "--json")[:2] == (3, "")
 
     def test_no_flag_raises_cap(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
