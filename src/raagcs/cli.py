@@ -10,10 +10,12 @@ graph6, anything else is an edge list) and can be forced with
 Each ``cmd_*`` returns one JSON document and prints nothing.  ``main``
 prints that document, as JSON or as its text view (the document's
 warnings, then the subcommand's ``_text_*`` renderer, which reads the
-document alone), and picks the exit code.  The argument parser is built
-once per process, at import.  JSON output is byte-stable: keys are
-sorted, maps with integer keys are emitted as sorted pairs, and two runs
-on the same input produce identical bytes.
+document alone), and picks the exit code.  A census is written as JSON
+row by row, each distinct profile's row rendered once, in the bytes of
+the whole document.  The argument parser is built once per process, at
+import.  JSON output is byte-stable: keys are sorted, maps with integer
+keys are emitted as sorted pairs, and two runs on the same input produce
+identical bytes.
 
 Exit codes: 0 success, 2 parse error, 3 limit violation, 4 not
 realizable, 5 realization not implemented, 6 golden-data mismatch.
@@ -25,6 +27,7 @@ import argparse
 import json
 import sys
 import warnings as warnings_module
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
@@ -304,37 +307,54 @@ def _text_compare(doc: dict[str, Any]) -> None:
 # ------------------------------------------------------------ enumerate
 
 
-def build_census(n: int) -> list[dict[str, Any]]:
-    """Classification rows for all isomorphism classes on n vertices,
-    sorted by canonical graph6 string.  Each distinct profile's verdicts
-    are computed once and shared by its rows."""
-    rows = []
-    verdicts: dict[InvariantProfile, dict[str, Any]] = {}
-    for g in enumerate_graphs(n):
-        p = invariant_profile(g)
-        if p not in verdicts:
-            verdicts[p] = {**_verdict_json(p), **_algebra_kind_json(p)}
-        rows.append({"graph6": to_graph6(g), "edges": g.edge_count, **verdicts[p]})
-    return rows
-
-
-def _census_doc(n: int, rows: list[dict[str, Any]]) -> dict[str, Any]:
+def build_census(n: int) -> dict[str, Any]:
+    """The census of the isomorphism classes on n vertices, sorted by
+    canonical graph6 string.  Each distinct profile's verdict is computed
+    once and shared by its rows, and the summary is read off the distinct
+    verdicts and their row counts."""
+    graphs = enumerate_graphs(n)
+    profiles = [invariant_profile(g) for g in graphs]
+    counts = Counter(profiles)
+    verdicts = {p: {**_verdict_json(p), **_algebra_kind_json(p)} for p in counts}
+    rows = [
+        {"graph6": to_graph6(g), "edges": g.edge_count, **verdicts[p]}
+        for g, p in zip(graphs, profiles)
+    ]
     tally = dict.fromkeys(SEMIPROJECTIVITY_VERDICTS, 0)
-    for row in rows:
-        tally[row["semiprojectivity"]["verdict"]] += 1
-    freeze: Callable[[Any], Any] = lambda v: json.dumps(v, sort_keys=True)
+    for p, count in counts.items():
+        tally[verdicts[p]["semiprojectivity"]["verdict"]] += count
+    distinct = lambda key: len({json.dumps(v[key], sort_keys=True) for v in verdicts.values()})
     return {
         "document": "census",
         "n": n,
-        "graph_count": len(rows),
+        "graph_count": len(graphs),
         "classes": rows,
-        "distinct_normal_forms": len({freeze(r["normal_form"]) for r in rows}),
-        "distinct_stable_normal_forms": len(
-            {freeze(r["stable_normal_form"]) for r in rows}
+        "distinct_normal_forms": distinct("normal_form"),
+        "distinct_stable_normal_forms": distinct("stable_normal_form"),
+        "graph_algebra_count": sum(
+            count for p, count in counts.items() if verdicts[p]["graph_algebra"]["value"]
         ),
-        "graph_algebra_count": sum(r["graph_algebra"]["value"] for r in rows),
         "semiprojectivity_tally": tally,
     }
+
+
+def _write_census(doc: dict[str, Any]) -> None:
+    """Print a census as ``json.dumps(doc, sort_keys=True, indent=2)`` would,
+    row by row.  The document is rendered once with a NUL hole for
+    ``classes``; rows that share a profile object share its verdict, so that
+    row is rendered once, with holes for ``edges`` and ``graph6``."""
+    hole, dumps = json.dumps("\0"), lambda x: json.dumps(x, sort_keys=True, indent=2)
+    head, tail = dumps({**doc, "classes": "\0"}).split(hole)
+    templates: dict[int, list[str]] = {}
+    write = sys.stdout.write
+    write(head + "[")
+    for i, row in enumerate(doc["classes"]):  # never empty: n = 0 has one graph
+        if id(row["profile"]) not in templates:
+            text = "\n" + dumps({**row, "edges": "\0", "graph6": "\0"})
+            templates[id(row["profile"])] = text.replace("\n", "\n    ").split(hole)
+        start, mid, end = templates[id(row["profile"])]
+        write(f"{',' if i else ''}{start}{row['edges']}{mid}{json.dumps(row['graph6'])}{end}")
+    write("\n  ]" + tail + "\n")
 
 
 def load_golden() -> dict[str, Any]:
@@ -371,8 +391,7 @@ def golden_mismatches(doc: dict[str, Any], golden: dict[str, Any]) -> list[str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
-    n = parse_decimal(args.n, "n")
-    doc = _census_doc(n, build_census(n))
+    doc = build_census(parse_decimal(args.n, "n"))
     if args.golden:
         problems = golden_mismatches(doc, load_golden())
         doc["golden"] = {"match": not problems, "mismatches": problems}
@@ -642,10 +661,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RealizationNotImplemented as exc:
         print(f"not implemented: {exc}", file=sys.stderr)
         return 5
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
+    if not args.json:
         args.text(doc)
+    elif doc["document"] == "census":
+        _write_census(doc)
+    else:
+        print(json.dumps(doc, sort_keys=True, indent=2))
     return 6 if "golden" in doc and not doc["golden"]["match"] else 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 import warnings
@@ -18,8 +19,17 @@ from raagcs import (
     LimitExceeded,
     ParseError,
     UndirectedGraph,
+    enumerate_graphs,
+    invariant_profile,
 )
-from raagcs.graphs import EDGE_LIST_MAX, is_graph6_token, parse_count_header
+from raagcs.cli import (
+    SEMIPROJECTIVITY_VERDICTS,
+    _algebra_kind_json,
+    _verdict_json,
+    golden_mismatches,
+    load_golden,
+)
+from raagcs.graphs import EDGE_LIST_MAX, is_graph6_token, parse_count_header, to_graph6
 from raagcs.kgraph import DirectedGraph
 
 
@@ -281,6 +291,35 @@ def reference_detect_format(text: str) -> str:
     if len(tokens) == 1 and is_graph6_token(tokens[0]):
         return "graph6"
     return "edges"
+
+
+def reference_census(n: int, golden: bool = False) -> dict:
+    """The census document built whole: a row dict with its own verdict per
+    class, the summary counted over the rows (normal forms told apart by
+    their frozen JSON), then the golden check."""
+    rows = []
+    for g in enumerate_graphs(n):
+        p = invariant_profile(g)
+        verdict = {**_verdict_json(p), **_algebra_kind_json(p)}
+        rows.append({"graph6": to_graph6(g), "edges": g.edge_count, **verdict})
+    tally = dict.fromkeys(SEMIPROJECTIVITY_VERDICTS, 0)
+    for row in rows:
+        tally[row["semiprojectivity"]["verdict"]] += 1
+    freeze = lambda v: json.dumps(v, sort_keys=True)
+    doc = {
+        "document": "census",
+        "n": n,
+        "graph_count": len(rows),
+        "classes": rows,
+        "distinct_normal_forms": len({freeze(r["normal_form"]) for r in rows}),
+        "distinct_stable_normal_forms": len({freeze(r["stable_normal_form"]) for r in rows}),
+        "graph_algebra_count": sum(r["graph_algebra"]["value"] for r in rows),
+        "semiprojectivity_tally": tally,
+    }
+    if golden:
+        problems = golden_mismatches(doc, load_golden())
+        doc["golden"] = {"match": not problems, "mismatches": problems}
+    return doc
 
 
 def random_dgraph(rng: random.Random, max_n: int = 9) -> DirectedGraph:

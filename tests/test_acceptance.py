@@ -32,7 +32,6 @@ from raagcs import (
 )
 from raagcs.artin import Z_GROUP, AbGroup
 from raagcs.cli import (
-    _census_doc,
     build_census,
     golden_mismatches,
     load_golden,
@@ -73,11 +72,11 @@ FIVE_VERTEX_PROFILES = {
 
 def test_c01_five_vertex_census_reproduction():
     start = time.perf_counter()
-    rows = build_census(5)
+    doc = build_census(5)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
 
-    assert len(rows) == 34
+    assert len(doc["classes"]) == 34
 
     graphs = enumerate_graphs(5)
     counts = Counter(
@@ -85,7 +84,6 @@ def test_c01_five_vertex_census_reproduction():
     )
     assert counts == Counter(FIVE_VERTEX_PROFILES)
 
-    doc = _census_doc(5, rows)
     assert doc["distinct_normal_forms"] == 17
     assert doc["distinct_stable_normal_forms"] == 16
     assert golden_mismatches(doc, load_golden()) == []
@@ -135,7 +133,7 @@ def test_c04_sign_rigidity():
 
 
 def test_c05_graph_algebra_census():
-    rows = build_census(5)
+    rows = build_census(5)["classes"]
     flags = [row["graph_algebra"]["value"] for row in rows]
     assert sum(flags) == 23
     # Membership coincides with having no singleton component here.
@@ -144,7 +142,7 @@ def test_c05_graph_algebra_census():
 
 
 def test_c06_semiprojectivity_census():
-    tally = _census_doc(5, build_census(5))["semiprojectivity_tally"]
+    tally = build_census(5)["semiprojectivity_tally"]
     assert tally == {
         "Semiprojective": 23,
         "NotSemiprojective": 11,

@@ -34,7 +34,7 @@ from raagcs.graphs import (
     to_graph6,
 )
 from raagcs.kgraph import DGRAPH_MAX
-from conftest import reference_detect_format
+from conftest import reference_census, reference_detect_format
 
 try:
     import tomllib
@@ -425,6 +425,22 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+    @pytest.mark.parametrize(
+        "n, golden", [(n, False) for n in range(8)] + [(4, True), (5, True)]
+    )
+    def test_stream_matches_the_whole_document(self, capsys, n, golden):
+        # The JSON rows are written one by one from per-profile templates;
+        # the whole document built row dict by row dict renders the same
+        # bytes, as JSON and through the text view, with the same exit code.
+        argv = ["enumerate", str(n)] + ["--golden"] * golden
+        doc = reference_census(n, golden)
+        code = 6 if golden and not doc["golden"]["match"] else 0
+        whole = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert run_cli(capsys, *argv, "--json")[:2] == (code, whole)
+        cli._PARSER.parse_args(argv).text(doc)
+        expected = capsys.readouterr().out
+        assert run_cli(capsys, *argv)[:2] == (code, expected)
 
     def test_zero_vertex_census(self, capsys, validator):
         code, doc = run_json(capsys, validator, "enumerate", "0", "--json")
