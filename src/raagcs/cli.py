@@ -349,10 +349,11 @@ def _write_census(doc: dict[str, Any]) -> None:
     write = sys.stdout.write
     write(head + "[")
     for i, row in enumerate(doc["classes"]):  # never empty: n = 0 has one graph
-        if id(row["profile"]) not in templates:
+        key = id(row["profile"])
+        if key not in templates:
             text = "\n" + dumps({**row, "edges": "\0", "graph6": "\0"})
-            templates[id(row["profile"])] = text.replace("\n", "\n    ").split(hole)
-        start, mid, end = templates[id(row["profile"])]
+            templates[key] = text.replace("\n", "\n    ").split(hole)
+        start, mid, end = templates[key]
         write(f"{',' if i else ''}{start}{row['edges']}{mid}{json.dumps(row['graph6'])}{end}")
     write("\n  ]" + tail + "\n")
 
