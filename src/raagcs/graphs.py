@@ -486,9 +486,22 @@ def induced_subgraph(g: UndirectedGraph, vertices: Iterable[int]) -> UndirectedG
     return UndirectedGraph(len(vs), rows)
 
 
-def _lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
+def _twin_masks(adj: Sequence[int]) -> dict[int, int]:
+    """Each open and each closed neighbourhood row of ``adj``, mapped to the
+    mask of the vertices that have it: twins share a key, and swapping two
+    twins is an automorphism.  No open row is another vertex's closed row."""
+    twins: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            twins[key] = twins.get(key, 0) | 1 << v
+    return twins
+
+
+def _lower(adj: tuple[int, ...], n: int, bound: list[int], first: bool = False) -> list[int]:
     """Lower ``bound``, in place, to the least columns of any vertex order,
-    yielding the position of each column it lowers.
+    and return the positions of the columns it lowered, in order; with
+    ``first`` it stops at the first, so an empty list says no order beats
+    ``bound``.
 
     Column k of an order lists its k-th vertex's adjacency to the k before it,
     the first-placed vertex in the high bit: the order's upper-triangle bits
@@ -499,22 +512,20 @@ def _lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
     neighbours of u, so ``cells[0]`` holds the least.  A branch whose least
     column is above ``bound``'s is cut; one below replaces it and resets every
     later column to ``1 << n``.  ``cells[0]`` is expanded ascending, each twin
-    class once (swapping twins is an automorphism; twins share a cell, found
-    by ``twins``, each open and closed neighbourhood row's vertices).  The
-    first yield says if some order beats ``bound``; the full run minimizes it.
+    class once (``_twin_masks``; twins share a cell).
     """
-    twins: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        for key in (row, row | 1 << v):
-            twins[key] = twins.get(key, 0) | 1 << v
+    twins = _twin_masks(adj)
+    lowered: list[int] = []
 
-    def rec(k: int, cells: list[tuple[int, int]]) -> Iterator[int]:
+    def rec(k: int, cells: list[tuple[int, int]]) -> None:
         if k == n or cells[0][0] > bound[k]:
             return
         least, todo = cells[0]
         if least < bound[k]:
             bound[k:] = [least] + [1 << n] * (n - k - 1)
-            yield k
+            lowered.append(k)
+            if first:
+                return
         while todo:
             b = todo & -todo
             row = adj[b.bit_length() - 1]
@@ -526,9 +537,12 @@ def _lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
                     nxt.append((col << 1, lo))
                 if hi := mask & row:
                     nxt.append((col << 1 | 1, hi))
-            yield from rec(k + 1, nxt)
+            rec(k + 1, nxt)
+            if first and lowered:
+                return
 
-    return rec(0, [(0, (1 << n) - 1)])
+    rec(0, [(0, (1 << n) - 1)])
+    return lowered
 
 
 def canonical_form(g: UndirectedGraph) -> bytes:
@@ -543,8 +557,7 @@ def canonical_form(g: UndirectedGraph) -> bytes:
             f"canonical_form is capped at n <= {CANONICAL_MAX}, got {n}"
         )
     bound = [1 << n] * n
-    for _ in _lower(g.adjacency, n, bound):
-        pass
+    _lower(g.adjacency, n, bound)
     bits = "".join(format(c, f"0{k}b") for k, c in enumerate(bound) if k)
     return bytes([63 + n]) + _pack6(bits)
 
@@ -561,9 +574,13 @@ def enumerate_graphs(n: int) -> list[UndirectedGraph]:
     class is reached exactly once.  Moving the new vertex to position j
     keeps columns 0..j-1 and makes column j its column c >> (k-1-j), so a
     c below the parent's floor, its largest column h << (k-1-j), is beaten
-    with no search and never tried.  Parents come in graph6 order and each
-    takes its new last column in increasing order, so the result is sorted
-    by graph6 bytes.
+    with no search and never tried.  Nor is a column whose neighbour set
+    holds a parent vertex u but not a later twin v of u (``_twin_masks``):
+    swapping u and v is an automorphism of the parent, so the relabelled
+    extension keeps the parent's columns and moves the new column's bit
+    from u's place to v's, lower, and the extension is not canonical.
+    Parents come in graph6 order and each takes its new last column in
+    increasing order, so the result is sorted by graph6 bytes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -577,11 +594,17 @@ def enumerate_graphs(n: int) -> list[UndirectedGraph]:
         grown = []
         for base, head in level:
             floor = max((h << (k - 1 - j) for j, h in enumerate(head)), default=0)
+            # The parent's twin classes of two or more vertices.  With x =
+            # nb & m, the new row takes some u of class m but not a later v
+            # iff m & -x holds a vertex besides the least of x.
+            classes = [m for m in _twin_masks(base).values() if m & m - 1]
             for c, nb in enumerate(flipped[floor:], floor):
+                if any((y := m & -(nb & m)) & y - 1 for m in classes):
+                    continue
                 rows = tuple(r | (nb >> i & 1) << (k - 1) for i, r in enumerate(base))
                 rows += (nb,)
                 cols = head + [c]
-                if next(_lower(rows, k, cols), None) is None:
+                if not _lower(rows, k, cols, first=True):
                     grown.append((rows, cols))
         level = grown
     return [UndirectedGraph(n, rows) for rows, _ in level]

@@ -174,7 +174,7 @@ def reference_canonical_graph6(g: UndirectedGraph) -> str:
 def reference_lower(adj: tuple[int, ...], n: int, bound: list[int]) -> Iterator[int]:
     """The column search over a list of n column ints, every placed vertex's
     set above all, with a pairwise twin test against the vertices already
-    expanded; ``graphs._lower`` must yield the same positions, expand as
+    expanded; ``graphs._lower`` must return the same positions, expand as
     many nodes and leave the same ``bound``."""
     top = 1 << n
 

@@ -607,7 +607,7 @@ def assert_matches_reference(g: UndirectedGraph) -> None:
     their own minimum."""
     reference = reference_canonical_graph6(g)
     assert canonical_form(g).decode("ascii") == reference
-    least = next(_lower(g.adjacency, g.n, identity_columns(g)), None) is None
+    least = not _lower(g.adjacency, g.n, identity_columns(g), first=True)
     assert least == (to_graph6(g) == reference)
 
 
@@ -677,20 +677,47 @@ class TestEnumeration:
             floor = column_floor(head)
             for c in range(1 << (k - 1)):
                 g = extend(parent, c)
-                beaten = next(_lower(g.adjacency, k, head + [c]), None) is not None
+                beaten = bool(_lower(g.adjacency, k, head + [c], first=True))
                 assert beaten or c >= floor
                 if not beaten:
                     kept.append(g)
         assert kept == enumerate_graphs(k)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_twin_rule_is_sound(self, k, monkeypatch):
+        # Every column from a canonical parent's floor up that enumerate_graphs
+        # skips without a search, by the twin rule, is beaten by some vertex
+        # order: the rule never drops a class.
+        tried: dict[tuple[int, ...], set[int]] = {}
+
+        def recorded(adj, n, bound, first=False):
+            if n == k:
+                tried.setdefault(tuple(bound[:-1]), set()).add(bound[-1])
+            return _lower(adj, n, bound, first)
+
+        monkeypatch.setattr("raagcs.graphs._lower", recorded)
+        enumerate_graphs(k)
+        skipped = 0
+        for parent in enumerate_graphs(k - 1):
+            head = identity_columns(parent)
+            for c in range(column_floor(head), 1 << (k - 1)):
+                if c not in tried.get(tuple(head), ()):
+                    g = extend(parent, c)
+                    assert _lower(g.adjacency, k, head + [c], first=True), (parent, c)
+                    skipped += 1
+        assert skipped == [0, 0, 2, 7, 33, 153, 973][k - 1]
+
     def test_lower_searches(self, monkeypatch):
         # A counter, not a clock: the column floor skips the searches that
-        # would reject a column below it (219 / 1 307 / 11 291 without it).
+        # would reject a column below it, and the twin rule those that would
+        # reject a column holding a parent vertex but not a later twin of it
+        # (103 / 479 / 3 161 with the floor alone, 219 / 1 307 / 11 291 with
+        # neither).
         calls: list[int] = []
 
-        def counted(adj, n, bound):
+        def counted(adj, n, bound, first=False):
             calls.append(n)
-            return _lower(adj, n, bound)
+            return _lower(adj, n, bound, first)
 
         monkeypatch.setattr("raagcs.graphs._lower", counted)
         searches = []
@@ -698,7 +725,7 @@ class TestEnumeration:
             calls.clear()
             enumerate_graphs(n)
             searches.append(len(calls))
-        assert searches == [103, 479, 3161]
+        assert searches == [61, 284, 1993]
 
     def test_cap(self, monkeypatch):
         with pytest.raises(LimitExceeded, match="capped at n <= 8, got 9"):
