@@ -30,7 +30,8 @@ from raagcs.cli import (
     load_golden,
 )
 from raagcs.graphs import EDGE_LIST_MAX, is_graph6_token, parse_count_header, to_graph6
-from raagcs.kgraph import DirectedGraph
+import raagcs.kgraph as kgraph
+from raagcs.kgraph import DirectedGraph, Operation, SmithDecomposition, _over_budget
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> UndirectedGraph:
@@ -382,6 +383,116 @@ def random_matrix(
         [rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)
     ]
 
+
+def block_dgraph(rng: random.Random, n: int, sinks: int, emitters: int) -> str:
+    """dgraph text shaped like the benchmark's ``ktheory`` inputs: strongly
+    connected blocks of 8 vertices, each vertex on a cycle through its
+    block with 0-2 more edges into it and sometimes one to a sink, then
+    relabelled by a random permutation."""
+    mult: dict[tuple[int, int], int] = {}
+    core = n - sinks
+    for start in range(0, core, 8):
+        block = range(start, min(start + 8, core))
+        for i, v in enumerate(block):
+            targets = [block[(i + 1) % len(block)]]
+            targets += [rng.choice(block) for _ in range(rng.randint(0, 2))]
+            for t in targets:
+                mult[v, t] = mult.get((v, t), 0) + rng.randint(1, 2)
+            if sinks and rng.random() < 0.3:
+                key = (v, rng.randrange(core, n))
+                mult[key] = mult.get(key, 0) + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    lines = [f"dvertices: {n}"]
+    lines += [f"{perm[v]} *" for v in sorted(rng.sample(range(core), emitters))]
+    lines += [f"{perm[s]} {perm[t]} {m}" for (s, t), m in sorted(mult.items())]
+    return "\n".join(lines) + "\n"
+
+
+def reference_smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """The reduction that rescans rows k.. for every pivot, kept as the
+    differential reference: ``kgraph.smith_normal_form`` must return the
+    same D, row and column operations and work, and raise at the same
+    ``kgraph.SNF_BUDGET``."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix rows must have equal length")
+    if not set(map(type, itertools.chain.from_iterable(a))) <= {int}:
+        raise TypeError("matrix entries must be ints")
+    W = [[*row] for row in a]
+    row_ops: list[Operation] = []
+    column_ops: list[Operation] = []
+    k = work = 0
+    while k < min(m, n):
+        pivot = None
+        best = 0
+        for i in range(k, m):
+            row = W[i]
+            for j in range(k, n):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pivot = x, (i, j)
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        i, c = pivot
+        W[k], W[i] = W[i], W[k]
+        if i != k:
+            row_ops.append((k, i, 0))
+        if c != k:
+            for row in W[k:]:
+                row[k], row[c] = row[c], row[k]
+            column_ops.append((k, c, 0))
+        if W[k][k] < 0:
+            W[k] = [-x for x in W[k]]
+            row_ops.append((k, k, 2))
+        top = W[k]
+        p = top[k]
+        weight = 1 + max(max(top), -min(top)).bit_length() // 64
+        support = list(itertools.compress(range(n), top))
+        made = len(row_ops)
+        for r in range(k + 1, m):
+            row = W[r]
+            q = row[k] // p
+            if q:
+                for j in support:
+                    row[j] -= q * top[j]
+                row_ops.append((k, r, q))
+        work += weight * len(support) * (len(row_ops) - made)
+        # Rows above k are clear from column k on; the pivot row is the only
+        # carrier once the row step has cleared the column.
+        carriers = [row for row in W[k:] if row[k]]
+        made = len(column_ops)
+        for j in support:
+            if j > k:
+                q = top[j] // p
+                if q:
+                    for row in carriers:
+                        row[j] -= q * row[k]
+                    column_ops.append((j, k, q))
+        work += weight * len(carriers) * (len(column_ops) - made)
+        if work > kgraph.SNF_BUDGET:
+            raise _over_budget(m, n)
+        done = not any(top[k + 1 :]) and len(carriers) == 1
+        stray = k
+        if done and p > 1:
+            # Pull any entry the pivot does not divide into row k, then rerun.
+            stray = next((r for r in range(k + 1, m) if any(x % p for x in W[r][k + 1 :])), k)
+            if stray != k:
+                W[k] = [x + y for x, y in zip(top, W[stray])]
+                row_ops.append((stray, k, -1))
+        if done and stray == k:
+            k += 1
+    return SmithDecomposition(
+        D=tuple(map(tuple, W)),
+        row_ops=tuple(row_ops),
+        column_ops=tuple(column_ops),
+        work=work,
+    )
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

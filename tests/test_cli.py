@@ -34,7 +34,7 @@ from raagcs.graphs import (
     to_graph6,
 )
 from raagcs.kgraph import DGRAPH_MAX
-from conftest import reference_census, reference_detect_format
+from conftest import block_dgraph, reference_census, reference_detect_format
 
 try:
     import tomllib
@@ -718,6 +718,17 @@ class TestKTheory:
         code, out, _ = run_cli(capsys, "ktheory", text, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest().startswith("75c964766ae9b526")
+
+    def test_block_digraph_json_bytes(self, capsys):
+        # A 120-vertex block digraph with 2 sinks and 2 infinite emitters,
+        # K0 = Z^4 + Z/2 + Z/6^3 + Z/60^2 + Z/9678240: its reduction pulls
+        # entries the pivot does not divide into the pivot row six times,
+        # and every vertex class is read through those operations.  The CI
+        # workflow builds the same digraph.
+        text = block_dgraph(random.Random(1), 120, 2, 2)
+        code, out, _ = run_cli(capsys, "ktheory", text, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "fdf5e7434f05bf59"
 
     def test_dense_component_is_exit_0(self, capsys):
         # 0 <-> 1 and 1 <-> each vertex of a complete digraph on 2..13: one

@@ -37,6 +37,7 @@ from raagcs.cli import main as cli_main
 from raagcs.graphs import LimitExceeded
 from raagcs.kgraph import DGRAPH_MAX, strongly_connected_regular
 from conftest import (
+    block_dgraph,
     dgraphs,
     integer_determinant,
     mat_mul,
@@ -44,6 +45,7 @@ from conftest import (
     random_matrix,
     reference_closure,
     reference_condition_k,
+    reference_smith_normal_form,
 )
 
 p = parse_profile_spec
@@ -451,6 +453,86 @@ class TestSmithNormalForm:
         assert rep.unit_class == tuple(sum(snf.U[r]) for r in rows)
 
 
+def seeded_matrices(seed: int, count: int) -> list[list[list[int]]]:
+    """m x n matrices with 0 <= m, n <= 9 at a random bound and density,
+    with up to half of their rows and half of their columns cleared."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        bound, density = rng.choice((1, 2, 5, 9)), rng.choice((0.15, 0.4, 0.7, 1.0))
+        a = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m // 2)):
+            a[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n // 2)):
+            for row in a:
+                row[j] = 0
+        corpus.append(a)
+    return corpus
+
+
+class TestSmithAgainstReference:
+    """The reduction against ``reference_smith_normal_form``, which rescans
+    every row from k on for each pivot: the same D, the same row and column
+    operations in the same order, and the same work."""
+
+    @staticmethod
+    def assert_same(corpus) -> None:
+        for a in corpus:
+            got, want = smith_normal_form(a), reference_smith_normal_form(a)
+            assert (got.D, got.row_ops, got.column_ops, got.work) == (
+                want.D, want.row_ops, want.column_ops, want.work
+            ), a
+
+    def test_seeded_matrices(self):
+        self.assert_same(seeded_matrices(31, 1500))
+
+    def test_all_entries_even(self):
+        # No unit anywhere: every pivot is at least 2, and passes pull
+        # entries the pivot does not divide into its row.
+        corpus = [[[2 * x for x in row] for row in a] for a in seeded_matrices(37, 800)]
+        pulls = sum(a > b for m in corpus for a, b, q in smith_normal_form(m).row_ops if q == -1)
+        assert pulls >= 20
+        self.assert_same(corpus)
+
+    def test_entries_past_64_bits(self):
+        # Entries up to 9 * 3**40, about 2**67: each pass weighs 2 or more.
+        corpus = [[[3**40 * x for x in row] for row in a] for a in seeded_matrices(41, 600)]
+        self.assert_same(corpus)
+
+    def test_negative_units(self):
+        corpus = seeded_matrices(43, 600)
+        corpus = [[[-x for x in row] for row in a] for a in corpus] + [
+            [[-1 if x == 1 else x for x in row] for row in a] for a in corpus
+        ]
+        self.assert_same(corpus)
+
+    def test_block_digraphs(self):
+        # The matrices the benchmark's ktheory inputs reduce: blocks of 8
+        # vertices, sinks and infinite emitters, n = 20 .. 120.
+        shapes = [(20, 1, 1), (40, 0, 2), (60, 2, 1), (80, 1, 0), (100, 0, 3), (120, 2, 2)]
+        rng = random.Random(47)
+        corpus = [ktheory_matrix(parse_dgraph(block_dgraph(rng, *s))) for s in shapes * 4]
+        self.assert_same(corpus)
+
+    def test_budget_is_reached_at_the_same_work(self, monkeypatch):
+        corpus = seeded_matrices(53, 40) + [
+            ktheory_matrix(parse_dgraph(block_dgraph(random.Random(59), 60, 2, 1)))
+        ]
+        works = [reference_smith_normal_form(a).work for a in corpus]
+        for a, work in zip(corpus, works):
+            for budget in sorted({0, 1, work // 3, work // 2, max(work - 1, 0), work}):
+                monkeypatch.setattr(kgraph, "SNF_BUDGET", budget)
+                outcomes = []
+                for reduce in (smith_normal_form, reference_smith_normal_form):
+                    try:
+                        outcomes.append(reduce(a).work)
+                    except LimitExceeded as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (a, budget)
+                assert (outcomes[0] == work) == (budget >= work)
+
+
 class TestGraphKTheory:
     def test_cuntz_algebra_anchor(self):
         rep = graph_ktheory(DirectedGraph(1, {(0, 0): 3}))
@@ -582,6 +664,20 @@ class TestSmithBudget:
         assert cli_main(["ktheory", dense_dgraph()]) == 3
         err = capsys.readouterr().err
         assert "Smith normal form" in err and "120 x 117 matrix" in err
+
+    @pytest.mark.parametrize(
+        "a, work",
+        [
+            (ktheory_matrix(multiplied_cycle(1_000, 2)), 25_002),
+            (random_matrix(random.Random(1), 60, 60), 1_164_705),
+            (random_matrix(random.Random(1), 70, 70), 2_673_710),
+        ],
+        ids=["cycle-1000", "dense-60", "dense-70"],
+    )
+    def test_work_figures_of_the_budget_comment(self, a, work):
+        # The figures SNF_BUDGET's comment quotes: the weighted cells the
+        # reduction writes, before any replay of U or V.
+        assert smith_normal_form(a).work == work
 
     def test_dense_80_answers(self):
         # Dense with entries in [-9, 9]: the reduction stays under the budget.
@@ -939,31 +1035,6 @@ class TestVerifyRealization:
             (row,) = [c for c in realize(p(spec))[1].checks if c.name == "quotient_condition_k"]
             assert row.ok
         assert all(c.name != "quotient_condition_k" for c in realize(p("o=1"))[1].checks)
-
-
-def block_dgraph(rng: random.Random, n: int, sinks: int, emitters: int) -> str:
-    """dgraph text shaped like the benchmark's ``ktheory`` inputs: strongly
-    connected blocks of 8 vertices, each vertex on a cycle through its
-    block with 0-2 more edges into it and sometimes one to a sink, then
-    relabelled by a random permutation."""
-    mult: dict[tuple[int, int], int] = {}
-    core = n - sinks
-    for start in range(0, core, 8):
-        block = range(start, min(start + 8, core))
-        for i, v in enumerate(block):
-            targets = [block[(i + 1) % len(block)]]
-            targets += [rng.choice(block) for _ in range(rng.randint(0, 2))]
-            for t in targets:
-                mult[v, t] = mult.get((v, t), 0) + rng.randint(1, 2)
-            if sinks and rng.random() < 0.3:
-                key = (v, rng.randrange(core, n))
-                mult[key] = mult.get(key, 0) + 1
-    perm = list(range(n))
-    rng.shuffle(perm)
-    lines = [f"dvertices: {n}"]
-    lines += [f"{perm[v]} *" for v in sorted(rng.sample(range(core), emitters))]
-    lines += [f"{perm[s]} {perm[t]} {m}" for (s, t), m in sorted(mult.items())]
-    return "\n".join(lines) + "\n"
 
 
 class TestOutputBytes:
