@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from operator import mod
+from operator import add, mod, neg
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .artin import (
@@ -284,6 +284,14 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     the column step those right of it, on the rows nonzero in its column
     only.  A remainder starts another pass.  Cells written, weighted by the
     pivot row's largest entry in 64-bit words, are capped at ``SNF_BUDGET``.
+
+    The scan reads each row's least nonzero |entry| from a cache and scans
+    only the rows written since their last scan.  Rows k.. are zero left of
+    column k, so a row's least over the block is its least over the row,
+    which a column swap or the sign flip leaves as it is.  Only the row
+    step's targets, the column step's carriers and the stray pull write
+    rows, and a pass resets their entries; a row swap swaps two.  A pivot
+    row read from the cache is searched again for the pivot's column.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -294,67 +302,83 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     W = [[*row] for row in a]
     row_ops: list[Operation] = []
     column_ops: list[Operation] = []
+    # Row r's least nonzero |entry| (0 for a zero row), or None once a step
+    # may have written the row since it was last scanned.
+    least: list[int | None] = [None] * m
     k = work = 0
     while k < min(m, n):
-        pivot = None
         best = 0
-        for i in range(k, m):
-            row = W[i]
-            for j in range(k, n):
-                x = abs(row[j])
-                if x and (not best or x < best):
-                    best, pivot = x, (i, j)
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
+        for r in range(k, m):
+            x, col = least[r], None
+            if x is None:
+                row, x = W[r], 0
+                for j in range(k, n):
+                    y = abs(row[j])
+                    if y and (not x or y < x):
+                        x, col = y, j
+                        if y == 1:
+                            break
+                least[r] = x
+            if x and (not best or x < best):
+                best, i, c = x, r, col
+                if x == 1:
+                    break
+        if not best:
             break
-        i, c = pivot
-        W[k], W[i] = W[i], W[k]
+        row = W[i]
+        if c is None:
+            c = min(row.index(x) if x in row else n for x in (best, -best))
+        W[k], W[i] = row, W[k]
         if i != k:
+            least[k], least[i] = least[i], least[k]
             row_ops.append((k, i, 0))
         if c != k:
             for row in W[k:]:
                 row[k], row[c] = row[c], row[k]
             column_ops.append((k, c, 0))
         if W[k][k] < 0:
-            W[k] = [-x for x in W[k]]
+            W[k] = [*map(neg, W[k])]
             row_ops.append((k, k, 2))
         top = W[k]
         p = top[k]
-        weight = 1 + max(max(top), -min(top)).bit_length() // 64
         support = list(compress(range(n), top))
+        right = support[1:]
+        weight = 1 + max(map(abs, map(top.__getitem__, support))).bit_length() // 64
+        # Rows above k are clear from column k on; the carriers of column k
+        # are the pivot row and the rows the row step leaves a remainder in.
+        carriers = [top]
         made = len(row_ops)
-        for r in range(k + 1, m):
+        for r in [r for r in range(k + 1, m) if W[r][k]]:
+            least[r] = None
             row = W[r]
             q = row[k] // p
             if q:
                 for j in support:
                     row[j] -= q * top[j]
                 row_ops.append((k, r, q))
+            if row[k]:
+                carriers.append(row)
         work += weight * len(support) * (len(row_ops) - made)
-        # Rows above k are clear from column k on; the pivot row is the only
-        # carrier once the row step has cleared the column.
-        carriers = [row for row in W[k:] if row[k]]
         made = len(column_ops)
-        for j in support:
-            if j > k:
-                q = top[j] // p
-                if q:
-                    for row in carriers:
-                        row[j] -= q * row[k]
-                    column_ops.append((j, k, q))
+        for j in right:
+            q = top[j] // p
+            if q:
+                for row in carriers:
+                    row[j] -= q * row[k]
+                column_ops.append((j, k, q))
+        # The column step writes the carriers, row k and rows reset above;
+        # the stray pull below writes row k only.
+        least[k] = None
         work += weight * len(carriers) * (len(column_ops) - made)
         if work > SNF_BUDGET:
             raise _over_budget(m, n)
-        done = not any(top[k + 1 :]) and len(carriers) == 1
+        done = not any(map(top.__getitem__, right)) and len(carriers) == 1
         stray = k
         if done and p > 1:
             # Pull any entry the pivot does not divide into row k, then rerun.
-            stray = next((r for r in range(k + 1, m) if any(x % p for x in W[r][k + 1 :])), k)
+            stray = next((r for r in range(k + 1, m) if any(map(p.__rmod__, W[r][k + 1 :]))), k)
             if stray != k:
-                W[k] = [x + y for x, y in zip(top, W[stray])]
+                W[k] = [*map(add, top, W[stray])]
                 row_ops.append((stray, k, -1))
         if done and stray == k:
             k += 1
